@@ -417,7 +417,7 @@ impl Cluster {
             }
             shards.push(ShardCell::new(
                 ShardState::new(&cfg, seed, s, oss_lo, oss_hi),
-                EventQueue::with_capacity_and_backend(cfg.n_nodes() as usize * 64, cfg.event_queue),
+                EventQueue::with_capacity(cfg.n_nodes() as usize * 64),
             ));
         }
         let mdt_dev = BlockDevice::new(cfg.queue.clone(), Disk::new(cfg.mdt_disk.clone()));
@@ -441,13 +441,10 @@ impl Cluster {
             net: Network::new(cfg.net.clone(), cfg.n_nodes()),
             // In-flight events scale with concurrently outstanding
             // chunk RPCs: a few per rank per striped OST plus device
-            // completions. Pre-sizing kills backend regrowth in long
+            // completions. Pre-sizing kills heap regrowth in long
             // runs; 64 slots per node is comfortably above the
             // steady-state high-water mark at every config we run.
-            events: EventQueue::with_capacity_and_backend(
-                cfg.n_nodes() as usize * 64,
-                cfg.event_queue,
-            ),
+            events: EventQueue::with_capacity(cfg.n_nodes() as usize * 64),
             par: n_shards > 1,
             shards,
             ost_shard,

@@ -4,8 +4,6 @@
 //! clients, 3 OSS with 2 OSTs each, and 1 combined MGS/MDS node — with
 //! 7200 rpm SATA disks and ~1 GB/s network interfaces.
 
-use qi_simkit::event::QueueBackend;
-
 use crate::store::TraceStoreConfig;
 use qi_simkit::time::SimDuration;
 
@@ -235,11 +233,6 @@ pub struct ClusterConfig {
     pub stripe: StripeConfig,
     /// Interval between server-side monitor samples (paper: 1 s).
     pub sample_interval: SimDuration,
-    /// Event-queue backend for the simulation loop. Every backend
-    /// produces byte-identical traces (enforced by the differential
-    /// replay harness); this knob exists for performance comparisons
-    /// and for driving whole runs through the reference double.
-    pub event_queue: QueueBackend,
     /// Storage policy for the run's server-sample series. The default
     /// unbounded `Vec` keeps the exact full history (byte-identical to
     /// prior releases); the RLE ring bounds trace memory on long runs
@@ -272,7 +265,6 @@ impl Default for ClusterConfig {
             oss: OssConfig::default(),
             stripe: StripeConfig::default(),
             sample_interval: SimDuration::from_secs(1),
-            event_queue: QueueBackend::Calendar,
             trace_store: TraceStoreConfig::default(),
             sim_shards: 1,
         }

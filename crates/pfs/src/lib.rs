@@ -66,7 +66,7 @@ pub mod prelude {
     };
     pub use crate::store::{SampleStore, TraceStoreConfig};
     pub use qi_faults::{FaultEvent, FaultPlan, RetryPolicy};
-    pub use qi_simkit::{QiError, QueueBackend};
+    pub use qi_simkit::QiError;
 }
 
 pub use prelude::*;

@@ -27,7 +27,7 @@
 //! determinism argument and the residual tie-ordering caveats.
 
 use qi_faults::FaultEvent;
-use qi_simkit::epoch::{EpochSchedule, Mailbox};
+use qi_simkit::epoch::EpochSchedule;
 use rayon::prelude::*;
 
 use super::*;
@@ -61,7 +61,11 @@ impl Cluster {
         };
         self.stage_parallel_start();
 
-        let mut mailbox: Mailbox<Msg> = Mailbox::new();
+        // Cross-boundary deliveries in flight, drained in (time,
+        // push order). Every push lands at or after the mailbox clock:
+        // a delivery is at least one latency after its send, and no
+        // epoch is longer than one latency.
+        let mut mailbox: EventQueue<Msg> = EventQueue::new();
         let mut intents: Vec<SendIntent> = Vec::new();
         let mut merged: Vec<ServerSample> = Vec::new();
         let mut b = SimTime::ZERO;
@@ -133,7 +137,7 @@ impl Cluster {
             for i in intents.drain(..) {
                 let deliver = self.net.send(i.at, i.src, i.dst, i.payload);
                 if let Some(msg) = i.msg {
-                    mailbox.push(deliver + i.extra, msg);
+                    mailbox.schedule(deliver + i.extra, msg);
                 }
             }
 

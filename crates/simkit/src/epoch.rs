@@ -21,14 +21,13 @@
 //! is what keeps globally ordered control decisions identical between
 //! sequential and sharded execution.
 //!
-//! [`Mailbox`] is the deterministic cross-shard delivery pool: entries
-//! are stamped with an insertion sequence number, and drain strictly in
-//! `(time, stamp)` order, so the merge order at a barrier depends only
-//! on the (canonical) order in which the coordinator pushed them —
-//! never on thread scheduling.
-
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+//! Cross-shard deliveries wait in a plain
+//! [`EventQueue`](crate::event::EventQueue): it drains in `(time,
+//! insertion order)`, so the merge order at a barrier depends only on
+//! the (canonical) order in which the coordinator pushed them — never on
+//! thread scheduling. Every push lands at or after the queue's clock (the
+//! last boundary drained to), because a delivery happens at least one
+//! lookahead after its send and no epoch is longer than the lookahead.
 
 use crate::time::{SimDuration, SimTime};
 
@@ -57,14 +56,19 @@ impl EpochSchedule {
     }
 
     /// Add recurring tick boundaries at `j·interval` and
-    /// `j·interval + offset` for `j ≥ 1`. `offset` must be smaller than
-    /// `interval`.
+    /// `j·interval + offset` for `j ≥ 1`. `offset` must not exceed
+    /// `interval`; at `offset == interval` the offset points coincide
+    /// with the next tick (a 1 ns tick at a 1 ns offset makes every
+    /// nanosecond a boundary).
     pub fn with_tick(mut self, interval: SimDuration, offset: SimDuration) -> Self {
         assert!(
             interval > SimDuration::ZERO,
             "tick interval must be non-zero"
         );
-        assert!(offset < interval, "tick offset must precede the next tick");
+        assert!(
+            offset <= interval,
+            "tick offset must not pass the next tick"
+        );
         self.tick = Some((interval, offset));
         self
     }
@@ -114,90 +118,6 @@ impl EpochSchedule {
     }
 }
 
-#[derive(Debug)]
-struct Stamped<T> {
-    at: SimTime,
-    stamp: u64,
-    item: T,
-}
-
-impl<T> PartialEq for Stamped<T> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.stamp == other.stamp
-    }
-}
-impl<T> Eq for Stamped<T> {}
-impl<T> PartialOrd for Stamped<T> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<T> Ord for Stamped<T> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at, self.stamp).cmp(&(other.at, other.stamp))
-    }
-}
-
-/// Deterministic pending-delivery pool for cross-shard traffic.
-///
-/// Each [`push`](Mailbox::push) stamps the entry with a monotonically
-/// increasing sequence number; [`pop_until`](Mailbox::pop_until) drains
-/// entries in strict `(time, stamp)` order. Two mailboxes fed the same
-/// `(time, item)` sequence drain identically, regardless of how the
-/// producing shards were scheduled onto threads — the coordinator pushes
-/// in canonical order, so the drain order is canonical too.
-#[derive(Debug)]
-pub struct Mailbox<T> {
-    heap: BinaryHeap<Reverse<Stamped<T>>>,
-    next_stamp: u64,
-}
-
-impl<T> Default for Mailbox<T> {
-    fn default() -> Self {
-        Mailbox {
-            heap: BinaryHeap::new(),
-            next_stamp: 0,
-        }
-    }
-}
-
-impl<T> Mailbox<T> {
-    /// An empty mailbox.
-    pub fn new() -> Self {
-        Mailbox::default()
-    }
-
-    /// Enqueue `item` for delivery at `at`.
-    pub fn push(&mut self, at: SimTime, item: T) {
-        let stamp = self.next_stamp;
-        self.next_stamp += 1;
-        self.heap.push(Reverse(Stamped { at, stamp, item }));
-    }
-
-    /// Timestamp of the earliest pending entry.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|Reverse(s)| s.at)
-    }
-
-    /// Pop the earliest entry if it is due at or before `deadline`.
-    pub fn pop_until(&mut self, deadline: SimTime) -> Option<(SimTime, T)> {
-        if self.peek_time()? > deadline {
-            return None;
-        }
-        self.heap.pop().map(|Reverse(s)| (s.at, s.item))
-    }
-
-    /// Number of pending entries.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// True when nothing is pending.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -239,31 +159,5 @@ mod tests {
             assert!(b < t, "base {b:?} not before {t:?}");
             assert!(s.next_after(b) >= t, "epoch ({b:?}, ..] skips {t:?}");
         }
-    }
-
-    #[test]
-    fn mailbox_drains_in_time_then_stamp_order() {
-        let mut m = Mailbox::new();
-        m.push(SimTime(5), "a");
-        m.push(SimTime(3), "b");
-        m.push(SimTime(5), "c");
-        m.push(SimTime(1), "d");
-        let mut out = Vec::new();
-        while let Some((at, item)) = m.pop_until(SimTime(5)) {
-            out.push((at.as_nanos(), item));
-        }
-        assert_eq!(out, vec![(1, "d"), (3, "b"), (5, "a"), (5, "c")]);
-        assert!(m.is_empty());
-    }
-
-    #[test]
-    fn mailbox_respects_deadline() {
-        let mut m = Mailbox::new();
-        m.push(SimTime(10), 1u32);
-        m.push(SimTime(20), 2u32);
-        assert_eq!(m.pop_until(SimTime(15)), Some((SimTime(10), 1)));
-        assert_eq!(m.pop_until(SimTime(15)), None);
-        assert_eq!(m.len(), 1);
-        assert_eq!(m.peek_time(), Some(SimTime(20)));
     }
 }

@@ -6,12 +6,11 @@
 //!
 //! - [`error`] — the workspace-wide [`QiError`] type.
 //! - [`time`] — integer-nanosecond [`SimTime`]/[`SimDuration`].
-//! - [`event`] — the deterministic [`EventQueue`] with selectable
-//!   calendar/heap backends ([`QueueBackend`]).
-//! - [`epoch`] — conservative epoch boundaries and deterministic
-//!   cross-shard mailboxes for parallel simulation.
-//! - [`reference`] — the naive sorted-`Vec` queue double backing the
-//!   differential tests.
+//! - [`event`] — the deterministic [`EventQueue`]: one binary heap over
+//!   `(time, insertion order)`.
+//! - [`epoch`] — conservative epoch boundaries for parallel simulation.
+//! - [`reference`] — the naive sorted-`Vec` queue model the property
+//!   tests check [`EventQueue`] against.
 //! - [`rng`] — seeded [`SimRng`] with substream derivation.
 //! - [`ring`] — bounded [`RingBuffer`] with eviction accounting.
 //! - [`stats`] — Welford accumulators, percentiles, histograms, smoothing.
@@ -34,9 +33,9 @@ pub mod stats;
 pub mod table;
 pub mod time;
 
-pub use epoch::{EpochSchedule, Mailbox};
+pub use epoch::EpochSchedule;
 pub use error::QiError;
-pub use event::{EventQueue, QueueBackend};
+pub use event::EventQueue;
 pub use ratelimit::TokenBucket;
 pub use ring::RingBuffer;
 pub use rng::SimRng;

@@ -1,15 +1,10 @@
 //! A deliberately naive reference event queue.
 //!
 //! [`ReferenceQueue`] keeps every pending entry in one `Vec`, sorted on
-//! each insert. It exists to be *obviously correct*, not fast: the
-//! property tests and the differential replay harness compare the
-//! production backends ([`BinaryHeap`] and the calendar wheel) against
-//! this model, entry by entry. It is also selectable as a real
-//! [`EventQueue`] backend (`QueueBackend::Reference`) so whole cluster
-//! runs can be driven through it in tests.
-//!
-//! [`BinaryHeap`]: std::collections::BinaryHeap
-//! [`EventQueue`]: crate::event::EventQueue
+//! each insert. It exists to be *obviously correct*, not fast: it is the
+//! test oracle the property tests hold the production
+//! [`EventQueue`](crate::event::EventQueue) heap to, entry by entry. It
+//! is a standalone model, not a queue the simulator can run on.
 
 /// Sorted-`Vec` priority queue over `(time, seq)` with FIFO tie-break.
 ///
@@ -58,9 +53,8 @@ impl<E> ReferenceQueue<E> {
         self.items.reserve(additional);
     }
 
-    /// Insert an entry. `seq` must be unique per queue (the caller —
-    /// [`EventQueue`](crate::event::EventQueue) — hands out a fresh one
-    /// per schedule call).
+    /// Insert an entry. `seq` must be unique per queue; feeding it the
+    /// insertion index reproduces `EventQueue`'s FIFO tie-break.
     pub fn insert(&mut self, at: u64, seq: u64, event: E) {
         // Descending order: larger (at, seq) first. `partition_point`
         // finds the first index whose key is <= (at, seq); inserting

@@ -1,7 +1,7 @@
 //! Property-based tests for the simulation core.
 
 use proptest::prelude::*;
-use qi_simkit::event::{EventQueue, QueueBackend};
+use qi_simkit::event::EventQueue;
 use qi_simkit::ratelimit::TokenBucket;
 use qi_simkit::reference::ReferenceQueue;
 use qi_simkit::stats::{moving_average, percentile, Histogram, OnlineStats};
@@ -17,10 +17,10 @@ enum QueueOp {
 }
 
 fn queue_ops(max_len: usize) -> impl Strategy<Value = Vec<QueueOp>> {
-    // Deltas span the calendar wheel's interesting bands: same-granule
-    // ties (0), level-0/1/2 residents, beyond-horizon overflow, and the
-    // u64::MAX extreme. A (selector, raw) pair per op stands in for
-    // upstream's weighted `prop_oneof!`.
+    // Deltas span every band a simulation schedules in: same-instant
+    // ties (0), RPC- and disk-scale horizons, far-future timers (5–100 s)
+    // and the u64::MAX extreme. A (selector, raw) pair per op stands in
+    // for upstream's weighted `prop_oneof!`.
     prop::collection::vec((0u32..100, 0u64..u64::MAX), 1..max_len).prop_map(|raw| {
         raw.into_iter()
             .map(|(sel, r)| match sel {
@@ -36,59 +36,48 @@ fn queue_ops(max_len: usize) -> impl Strategy<Value = Vec<QueueOp>> {
 }
 
 proptest! {
-    /// Satellite: arbitrary interleaved push/pop sequences through the
-    /// calendar and heap backends against the naive sorted-`Vec` model —
-    /// all three must emit the identical `(time, seq, event)` order,
-    /// including equal-timestamp FIFO ties and `u64::MAX` deltas
-    /// (clamped to absolute `u64::MAX`, the zero-width far edge).
+    /// Arbitrary interleaved push/pop sequences through the heap-backed
+    /// `EventQueue` against the naive sorted-`Vec` model: both must emit
+    /// the identical `(time, event)` order, including equal-timestamp
+    /// FIFO ties and `u64::MAX` deltas (clamped to absolute `u64::MAX`,
+    /// the zero-width far edge).
     #[test]
-    fn backends_match_reference_model_interleaved(ops in queue_ops(120)) {
-        let mut cal = EventQueue::with_backend(QueueBackend::Calendar);
-        let mut heap = EventQueue::with_backend(QueueBackend::Heap);
-        let mut refq = EventQueue::with_backend(QueueBackend::Reference);
-        // A standalone naive model driven with the same (at, seq) pairs
-        // the queues compute, double-checking the Reference backend too.
+    fn event_queue_matches_reference_model_interleaved(ops in queue_ops(120)) {
+        let mut q = EventQueue::new();
+        // The model is fed the insertion index as its tie-break key.
         let mut model: ReferenceQueue<usize> = ReferenceQueue::new();
         let mut seq = 0u64;
         for (i, op) in ops.iter().enumerate() {
             match *op {
                 QueueOp::Push(delta) => {
-                    let at = SimTime(cal.now().as_nanos().saturating_add(delta));
-                    cal.schedule(at, i);
-                    heap.schedule(at, i);
-                    refq.schedule(at, i);
+                    let at = SimTime(q.now().as_nanos().saturating_add(delta));
+                    q.schedule(at, i);
                     model.insert(at.as_nanos(), seq, i);
                     seq += 1;
                 }
                 QueueOp::Pop => {
                     let want = model.pop().map(|(at, _, e)| (SimTime(at), e));
-                    prop_assert_eq!(cal.pop(), want, "calendar diverged at op {}", i);
-                    prop_assert_eq!(heap.pop(), want, "heap diverged at op {}", i);
-                    prop_assert_eq!(refq.pop(), want, "reference diverged at op {}", i);
+                    prop_assert_eq!(q.pop(), want, "diverged at op {}", i);
                 }
             }
-            prop_assert_eq!(cal.pending(), model.len());
-            prop_assert_eq!(cal.peek_time(), model.peek().map(|(at, _)| SimTime(at)));
-            prop_assert_eq!(heap.peek_time(), cal.peek_time());
+            prop_assert_eq!(q.pending(), model.len());
+            prop_assert_eq!(q.peek_time(), model.peek().map(|(at, _)| SimTime(at)));
         }
         // Drain: the tails must agree too.
         loop {
             let want = model.pop().map(|(at, _, e)| (SimTime(at), e));
-            prop_assert_eq!(cal.pop(), want);
-            prop_assert_eq!(heap.pop(), want);
-            prop_assert_eq!(refq.pop(), want);
+            prop_assert_eq!(q.pop(), want);
             if want.is_none() {
                 break;
             }
         }
-        prop_assert_eq!(cal.processed(), heap.processed());
-        prop_assert_eq!(cal.now(), heap.now());
+        prop_assert_eq!(q.processed(), seq);
     }
 
-    /// Zero-time and max-time absolute schedules agree across backends
-    /// (bulk load, no interleaving — stresses the initial wheel state).
+    /// Zero-time and max-time absolute schedules match the model (bulk
+    /// load, no interleaving).
     #[test]
-    fn backends_match_on_extreme_absolute_times(
+    fn event_queue_matches_reference_on_extreme_absolute_times(
         raw_times in prop::collection::vec((0u32..35, 0u64..u64::MAX), 1..60),
     ) {
         let times: Vec<u64> = raw_times
@@ -101,39 +90,38 @@ proptest! {
                 _ => r,
             })
             .collect();
-        let mut cal = EventQueue::with_backend(QueueBackend::Calendar);
-        let mut heap = EventQueue::with_backend(QueueBackend::Heap);
+        let mut q = EventQueue::new();
+        let mut model = ReferenceQueue::new();
         for (i, &t) in times.iter().enumerate() {
-            cal.schedule(SimTime(t), i);
-            heap.schedule(SimTime(t), i);
+            q.schedule(SimTime(t), i);
+            model.insert(t, i as u64, i);
         }
         for _ in 0..times.len() {
-            prop_assert_eq!(cal.pop(), heap.pop());
+            let want = model.pop().map(|(at, _, e)| (SimTime(at), e));
+            prop_assert_eq!(q.pop(), want);
         }
-        prop_assert!(cal.pop().is_none() && heap.pop().is_none());
+        prop_assert!(q.pop().is_none() && model.pop().is_none());
     }
 
-    /// The capacity contract holds on every backend for any
-    /// construction capacity and reserve request.
+    /// The capacity contract holds for any construction capacity and
+    /// reserve request.
     #[test]
-    fn capacity_contract_any_backend(
+    fn capacity_contract_holds(
         cap in 0usize..600,
         extra in 0usize..600,
         n in 0usize..300,
     ) {
-        for b in [QueueBackend::Calendar, QueueBackend::Heap, QueueBackend::Reference] {
-            let mut q = EventQueue::with_capacity_and_backend(cap, b);
-            prop_assert!(q.capacity() >= cap);
-            for i in 0..n {
-                q.schedule(SimTime((i as u64) * 17 % 1000), i);
-            }
-            q.reserve(extra);
-            prop_assert!(q.capacity() >= q.pending() + extra);
-            let before = q.capacity();
-            while q.pop().is_some() {}
-            prop_assert!(q.capacity() >= before.min(cap.max(n + extra)));
-            prop_assert!(q.capacity() >= cap);
+        let mut q = EventQueue::with_capacity(cap);
+        prop_assert!(q.capacity() >= cap);
+        for i in 0..n {
+            q.schedule(SimTime((i as u64) * 17 % 1000), i);
         }
+        q.reserve(extra);
+        prop_assert!(q.capacity() >= q.pending() + extra);
+        let before = q.capacity();
+        while q.pop().is_some() {}
+        prop_assert!(q.capacity() >= before.min(cap.max(n + extra)));
+        prop_assert!(q.capacity() >= cap);
     }
 
     /// Events always pop in non-decreasing time order, with ties in

@@ -36,7 +36,8 @@
 #   QI_SKIP_SERVE_GATE=1     waive the serving throughput gate
 #   QI_SKIP_P95_GATE=1       waive the serving p95 regression gate
 #                            (re-baselining on different hardware)
-#   QI_SKIP_SIM_GATE=1       waive the scaling bench's 3x churn gate
+#   QI_SKIP_SIM_GATE=1       waive the scaling bench's 32-vs-4-OSS
+#                            events/s gate
 #   QI_SKIP_PARSIM_GATE=1    waive the sharded 10%-overhead-at-1-thread
 #                            gate (shard-count determinism still asserted)
 #   QI_SKIP_CONTROL_GATE=1   waive the mitigated<=unmitigated /
@@ -108,13 +109,14 @@ fi
 cargo bench -p qi-bench --bench parallel
 
 # Simulator core (BENCH_sim.json): the differential replay harness
-# (calendar vs heap vs reference backends, healthy + faulted + sharded +
-# controlled, 1/2/8 threads, byte-identical traces and feature blocks),
-# then the scaling bench: queue-churn and end-to-end events/sec curves
-# at 4..32 OSS plus the parallel shard sweep at sim_shards 1/2/4/8. The
-# bench enforces calendar >= 3x heap churn at 32 OSS (QI_SKIP_SIM_GATE)
-# and sharded overhead <= 10% at 1 thread (QI_SKIP_PARSIM_GATE); the
-# shard-count determinism assertions are never waived.
+# (healthy + faulted + sharded + controlled, 1/2/8 threads, 1/2/4
+# shards, byte-identical traces and feature blocks), then the scaling
+# bench: end-to-end events/sec at 4..32 OSS plus the parallel shard
+# sweep at sim_shards 1/2/4/8, stamped with hardware threads, sample
+# count and git revision. The bench enforces best-sample events/s at
+# 32 OSS >= 0.8x the 4-OSS rate (QI_SKIP_SIM_GATE) and sharded overhead
+# <= 10% at 1 thread (QI_SKIP_PARSIM_GATE); the shard-count determinism
+# assertions are never waived.
 stage QI_SKIP_SIM QI_SIM_OUT sim_scale --test sim_equivalence
 
 # Closed-loop control (BENCH_control.json): the controlled-replay

@@ -1,15 +1,16 @@
 //! Differential replay harness for the simulator core.
 //!
-//! The calendar event queue and the arena-routed op tables are pure
-//! performance work: they must not move a single event. This harness
-//! proves it by running the same seeded scenario grid — healthy and
-//! faulted, under 1/2/8-thread rayon pools — through the old-path
-//! equivalent backends (`Heap`, and the naive sorted-`Vec` `Reference`
-//! test double) and the new `Calendar` core, asserting bit-identical
-//! [`RunTrace`]s, telemetry JSON, and dataset feature blocks.
+//! Thread pools and server shards are pure execution choices: they must
+//! not change anything a run observes. This harness proves it by running the same
+//! seeded scenario grid — healthy, faulted and controlled — under
+//! 1/2/8-thread rayon pools and at 1/2/4 server shards, asserting
+//! bit-identical [`RunTrace`]s, telemetry JSON, and dataset feature
+//! blocks. (Event-queue order itself is checked against a naive
+//! reference model by the `qi-simkit` property tests.)
 
-use qi_simkit::{QueueBackend, SimDuration, SimTime};
+use qi_simkit::{SimDuration, SimTime};
 use quanterference_repro::framework::prelude::*;
+use quanterference_repro::pfs::control::ClusterController;
 use quanterference_repro::pfs::ids::AppId;
 
 /// Shard counts for the parallel-simulator sweep. The sweep cluster has
@@ -20,24 +21,14 @@ fn t(s: u64) -> SimTime {
     SimTime::ZERO + SimDuration::from_secs(s)
 }
 
-/// Every queue backend the cluster can run on. `Calendar` first: it is
-/// the default and the golden the others are compared against.
-const BACKENDS: [QueueBackend; 3] = [
-    QueueBackend::Calendar,
-    QueueBackend::Heap,
-    QueueBackend::Reference,
-];
-
 const THREADS: [usize; 3] = [1, 2, 8];
 
 /// A mixed read/metadata scenario on the small cluster, optionally under
 /// a fault plan exercising the retry machinery (drops → timeouts →
 /// jittered resends), a degraded disk, and an MDS lock storm.
-fn scenario(backend: QueueBackend, faulted: bool) -> Scenario {
-    let mut cluster = ClusterConfig::small();
-    cluster.event_queue = backend;
+fn scenario(faulted: bool) -> Scenario {
     let s = Scenario {
-        cluster,
+        cluster: ClusterConfig::small(),
         small: true,
         target_ranks: 2,
         ..Scenario::baseline(WorkloadKind::IorEasyRead, 33)
@@ -105,45 +96,37 @@ fn assert_traces_equivalent(a: &RunTrace, b: &RunTrace, ctx: &str) {
     );
 }
 
-/// Run `scenario(backend, faulted)` on every thread count in the grid
-/// and assert each result is bit-identical to `golden`.
-fn assert_backend_matches_golden(golden: &(AppId, RunTrace), backend: QueueBackend, faulted: bool) {
-    let s = scenario(backend, faulted);
+/// Run `scenario(faulted)` on every thread count in the grid and assert
+/// each result is bit-identical to `golden`.
+fn assert_threads_match_golden(golden: &(AppId, RunTrace), faulted: bool) {
+    let s = scenario(faulted);
     for threads in THREADS {
         let pool = rayon::ThreadPoolBuilder::new()
             .num_threads(threads)
             .build()
             .expect("explicit thread counts always build");
         let (app, trace) = pool.install(|| s.run()).expect("scenario runs");
-        let ctx = format!("{backend:?} @ {threads} threads (faulted={faulted})");
+        let ctx = format!("{threads} threads (faulted={faulted})");
         assert_eq!(golden.0, app, "{ctx}: app id diverged");
         assert_traces_identical(&golden.1, &trace, &ctx);
     }
 }
 
 #[test]
-fn healthy_replay_is_byte_identical_across_backends_and_threads() {
-    let golden = scenario(QueueBackend::Calendar, false)
-        .run()
-        .expect("golden healthy run");
+fn healthy_replay_is_byte_identical_across_threads() {
+    let golden = scenario(false).run().expect("golden healthy run");
     assert!(!golden.1.ops.is_empty(), "golden run must do real work");
     assert!(!golden.1.samples.is_empty(), "golden run must sample");
-    for backend in BACKENDS {
-        assert_backend_matches_golden(&golden, backend, false);
-    }
+    assert_threads_match_golden(&golden, false);
 }
 
 #[test]
-fn faulted_replay_is_byte_identical_across_backends_and_threads() {
-    let golden = scenario(QueueBackend::Calendar, true)
-        .run()
-        .expect("golden faulted run");
+fn faulted_replay_is_byte_identical_across_threads() {
+    let golden = scenario(true).run().expect("golden faulted run");
     // The plan visibly did something, or this test proves nothing.
     assert!(golden.1.metrics.counter("pfs.rpc.dropped").unwrap_or(0) > 0);
     assert!(golden.1.metrics.counter("pfs.rpc.retries").unwrap_or(0) > 0);
-    for backend in BACKENDS {
-        assert_backend_matches_golden(&golden, backend, true);
-    }
+    assert_threads_match_golden(&golden, true);
 }
 
 /// True when `QI_SKIP_PARSIM=1` asks the bench pipeline to skip the
@@ -159,8 +142,8 @@ fn skip_parsim() -> bool {
 /// The shard-sweep scenario: the mixed read/metadata workload on a
 /// four-OSS cluster so that `sim_shards = 4` is a genuine four-way
 /// partition, with the same optional fault plan as `scenario`.
-fn sharded_scenario(backend: QueueBackend, faulted: bool, shards: u32) -> Scenario {
-    let mut s = scenario(backend, faulted);
+fn sharded_scenario(faulted: bool, shards: u32) -> Scenario {
+    let mut s = scenario(faulted);
     s.cluster.oss_nodes = 4;
     s.cluster.sim_shards = shards;
     s
@@ -168,16 +151,16 @@ fn sharded_scenario(backend: QueueBackend, faulted: bool, shards: u32) -> Scenar
 
 /// The parallel-simulator differential replay: at every shard count the
 /// observable trace must be bit-identical to the sequential (one-shard)
-/// run of the same scenario, on every queue backend and rayon pool
-/// size, healthy and faulted. Within a fixed shard count the *entire*
-/// trace — including the raw event count — must replay exactly.
+/// run of the same scenario, on every rayon pool size, healthy and
+/// faulted. Within a fixed shard count the *entire* trace — including
+/// the raw event count — must replay exactly.
 #[test]
-fn sharded_replay_is_byte_identical_across_backends_and_threads() {
+fn sharded_replay_is_byte_identical_across_shards_and_threads() {
     if skip_parsim() {
         return;
     }
     for faulted in [false, true] {
-        let sequential = sharded_scenario(QueueBackend::Calendar, faulted, 1)
+        let sequential = sharded_scenario(faulted, 1)
             .run()
             .expect("sequential golden run");
         assert!(!sequential.1.ops.is_empty(), "golden run must do real work");
@@ -188,7 +171,7 @@ fn sharded_replay_is_byte_identical_across_backends_and_threads() {
             );
         }
         for shards in SHARDS {
-            let golden = sharded_scenario(QueueBackend::Calendar, faulted, shards)
+            let golden = sharded_scenario(faulted, shards)
                 .run()
                 .expect("sharded golden run");
             assert_eq!(sequential.0, golden.0, "app id diverged");
@@ -197,20 +180,16 @@ fn sharded_replay_is_byte_identical_across_backends_and_threads() {
                 &golden.1,
                 &format!("{shards} shards vs sequential (faulted={faulted})"),
             );
-            for backend in BACKENDS {
-                let s = sharded_scenario(backend, faulted, shards);
-                for threads in THREADS {
-                    let pool = rayon::ThreadPoolBuilder::new()
-                        .num_threads(threads)
-                        .build()
-                        .expect("explicit thread counts always build");
-                    let (app, trace) = pool.install(|| s.run()).expect("scenario runs");
-                    let ctx = format!(
-                        "{backend:?} @ {threads} threads, {shards} shards (faulted={faulted})"
-                    );
-                    assert_eq!(golden.0, app, "{ctx}: app id diverged");
-                    assert_traces_identical(&golden.1, &trace, &ctx);
-                }
+            let s = sharded_scenario(faulted, shards);
+            for threads in THREADS {
+                let pool = rayon::ThreadPoolBuilder::new()
+                    .num_threads(threads)
+                    .build()
+                    .expect("explicit thread counts always build");
+                let (app, trace) = pool.install(|| s.run()).expect("scenario runs");
+                let ctx = format!("{threads} threads, {shards} shards (faulted={faulted})");
+                assert_eq!(golden.0, app, "{ctx}: app id diverged");
+                assert_traces_identical(&golden.1, &trace, &ctx);
             }
         }
     }
@@ -221,7 +200,7 @@ fn sharded_replay_is_byte_identical_across_backends_and_threads() {
 /// control window, so the controlled leg exercises the mini-epoch
 /// schedule the healthy leg never touches.
 fn sharded_controlled_run(faulted: bool, shards: u32) -> (AppId, RunTrace) {
-    let s = sharded_scenario(QueueBackend::Calendar, faulted, shards);
+    let s = sharded_scenario(faulted, shards);
     let ctl = ControlLoop::builder()
         .policy(UniformThrottle::new(noise_app_ids(&s), 5.0e6).expect("valid policy"))
         .window(WindowConfig::millis(100))
@@ -272,11 +251,76 @@ fn sharded_controlled_replay_is_byte_identical() {
     }
 }
 
+/// The shortest control interval `install_controller` accepts: a tick
+/// every nanosecond. Ignores the trace and acts on a fixed schedule —
+/// a rate limit, then an admission cap (which routes through the shard
+/// replicas), then both cleared — so any divergence between drivers is
+/// the drivers', not the policy's.
+struct EveryNanosecond {
+    noise: AppId,
+}
+
+impl ClusterController for EveryNanosecond {
+    fn interval(&self) -> SimDuration {
+        SimDuration::from_nanos(1)
+    }
+
+    fn on_window(
+        &mut self,
+        _now: SimTime,
+        window: u64,
+        _trace: &RunTrace,
+        out: &mut Vec<ControlDirective>,
+    ) {
+        let app = self.noise;
+        match window {
+            100_000 => out.push(ControlDirective::RateLimit {
+                app,
+                bytes_per_sec: 1.0e6,
+            }),
+            200_000 => out.push(ControlDirective::CapInflight {
+                app,
+                max_inflight: 1,
+            }),
+            700_000 => {
+                out.push(ControlDirective::ClearRateLimit { app });
+                out.push(ControlDirective::ClearCapInflight { app });
+            }
+            _ => {}
+        }
+    }
+}
+
+/// A 1 ns control interval must run under both drivers: the parallel
+/// one pins an epoch boundary at every tick, which makes every
+/// nanosecond a boundary. A 50 µs sampler puts server samples through
+/// the barrier merge; the short deadline keeps the 1M ticks cheap.
+#[test]
+fn one_nanosecond_control_interval_runs_sharded() {
+    let run = |shards: u32| {
+        let mut s = sharded_scenario(false, shards);
+        s.target = WorkloadKind::IorEasyWrite;
+        s.interference[0].kind = WorkloadKind::IorEasyWrite;
+        s.warmup = SimDuration::ZERO;
+        s.cluster.sample_interval = SimDuration::from_micros(50);
+        s.deadline = SimDuration::from_micros(1000);
+        let noise = noise_app_ids(&s)[0];
+        s.run_with(|cl| cl.install_controller(Box::new(EveryNanosecond { noise })))
+            .expect("controlled run completes")
+    };
+    let sequential = run(1);
+    assert!(!sequential.1.rpcs.is_empty(), "the run must do real work");
+    assert!(!sequential.1.samples.is_empty(), "the run must sample");
+    assert_eq!(sequential.1.directives.len(), 4, "every directive applies");
+    let sharded = run(2);
+    assert_eq!(sequential.0, sharded.0, "app id diverged");
+    assert_traces_equivalent(&sequential.1, &sharded.1, "1 ns interval, 2 shards");
+}
+
 /// A tiny dataset sweep (healthy + slow-OST conditions) whose feature
-/// matrix and labels must come out bit-identical on every backend.
-fn tiny_spec(backend: QueueBackend) -> DatasetSpec {
+/// matrix and labels must come out bit-identical at every pool size.
+fn tiny_spec() -> DatasetSpec {
     let mut spec = DatasetSpec::smoke();
-    spec.cluster.event_queue = backend;
     spec.targets = vec![WorkloadKind::IorEasyRead];
     spec.noise_kinds = vec![WorkloadKind::IorEasyWrite];
     spec.intensities = vec![1];
@@ -293,33 +337,33 @@ fn tiny_spec(backend: QueueBackend) -> DatasetSpec {
     spec
 }
 
+/// `generate` on the ambient pool is the golden; `generate_on` must
+/// reproduce it byte for byte on every explicit pool size.
 #[test]
-fn dataset_feature_blocks_are_bit_identical_across_backends() {
-    let golden = generate(&tiny_spec(QueueBackend::Calendar)).expect("golden sweep");
+fn dataset_feature_blocks_are_bit_identical_across_thread_pools() {
+    let spec = tiny_spec();
+    let golden = generate(&spec).expect("golden sweep");
     assert!(!golden.data.y.is_empty(), "sweep must produce windows");
-    for backend in [QueueBackend::Heap, QueueBackend::Reference] {
-        for threads in THREADS {
-            let pool = rayon::ThreadPoolBuilder::new()
-                .num_threads(threads)
-                .build()
-                .expect("explicit thread counts always build");
-            let spec = tiny_spec(backend);
-            let got = generate_on(&pool, &spec).expect("pooled sweep");
-            let ctx = format!("{backend:?} @ {threads} threads");
-            assert_eq!(golden.data.y, got.data.y, "{ctx}: labels diverged");
+    for threads in THREADS {
+        let pool = rayon::ThreadPoolBuilder::new()
+            .num_threads(threads)
+            .build()
+            .expect("explicit thread counts always build");
+        let got = generate_on(&pool, &spec).expect("pooled sweep");
+        let ctx = format!("{threads} threads");
+        assert_eq!(golden.data.y, got.data.y, "{ctx}: labels diverged");
+        assert_eq!(
+            golden.data.x.data(),
+            got.data.x.data(),
+            "{ctx}: feature bytes diverged"
+        );
+        assert_eq!(golden.meta.len(), got.meta.len(), "{ctx}: window metadata");
+        for (ma, mb) in golden.meta.iter().zip(got.meta.iter()) {
             assert_eq!(
-                golden.data.x.data(),
-                got.data.x.data(),
-                "{ctx}: feature bytes diverged"
+                (ma.window, ma.seed, ma.fault),
+                (mb.window, mb.seed, mb.fault),
+                "{ctx}: window metadata diverged"
             );
-            assert_eq!(golden.meta.len(), got.meta.len(), "{ctx}: window metadata");
-            for (ma, mb) in golden.meta.iter().zip(got.meta.iter()) {
-                assert_eq!(
-                    (ma.window, ma.seed, ma.fault),
-                    (mb.window, mb.seed, mb.fault),
-                    "{ctx}: window metadata diverged"
-                );
-            }
         }
     }
 }
