@@ -2,11 +2,10 @@
 //!
 //! Two sweeps, one output file:
 //!
-//! 1. **Single engine** — a fixed stream of prediction requests through
-//!    the qi-serve micro-batching engine at batch sizes 1, 8, and 32
-//!    (the fused immutable inference path; the `threads` knob is inert
-//!    on a single engine and swept only for baseline compatibility).
-//! 2. **Sharded engine** — a multi-tenant stream (8 tenants) through
+//! 1. **Batch sweep** — a fixed single-tenant stream of prediction
+//!    requests through a one-shard [`ShardedServeEngine`] at batch
+//!    sizes 1, 8, and 32 (the fused immutable inference path).
+//! 2. **Shard sweep** — a multi-tenant stream (8 tenants) through
 //!    [`ShardedServeEngine`] at 1/2/4/8 shards, every shard driven from
 //!    its own rayon worker, reporting aggregate predictions/second.
 //!
@@ -16,9 +15,8 @@
 //! gated and why (including any waiver reason).
 //!
 //! Gates:
-//! - **Determinism (never waived):** every (batch, threads)
-//!   configuration and every shard count must produce identical
-//!   predicted classes.
+//! - **Determinism (never waived):** every batch size and every shard
+//!   count must produce identical predicted classes.
 //! - **Throughput:** on multi-core hosts the sharded sweep must reach
 //!   ≥ 1,000,000 aggregate preds/s. On a single hardware thread that
 //!   target is auto-waived (recorded in the JSON) and the gate becomes:
@@ -30,7 +28,6 @@
 //!   baselines written before the `shards` column count as shards=1).
 //!
 //! Knobs:
-//! - `QI_BENCH_THREADS=1,2,8` overrides the single-engine thread sweep.
 //! - `QI_SERVE_SHARDS=1,2,4,8` overrides the shard-count sweep.
 //! - `QI_SKIP_SERVE_GATE=1` skips the throughput gate (recorded).
 //! - `QI_SKIP_P95_GATE=1` skips the p95 regression gate.
@@ -44,9 +41,7 @@ use qi_bench::is_smoke;
 use qi_ml::data::Dataset;
 use qi_ml::train::{train, TrainConfig, TrainedModel};
 use qi_pfs::ids::AppId;
-use qi_serve::{
-    ModelRegistry, OverloadPolicy, PredictRequest, ServeConfig, ServeEngine, ShardedServeEngine,
-};
+use qi_serve::{ModelRegistry, OverloadPolicy, PredictRequest, ServeConfig, ShardedServeEngine};
 use qi_simkit::time::{SimDuration, SimTime};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -133,8 +128,8 @@ fn registry() -> ModelRegistry {
     reg
 }
 
-fn engine(max_batch: usize, threads: usize) -> ServeEngine {
-    ServeEngine::new(
+fn engine(max_batch: usize) -> ShardedServeEngine {
+    ShardedServeEngine::new(
         ServeConfig {
             max_batch,
             // The stream is driven by the size threshold alone.
@@ -143,9 +138,10 @@ fn engine(max_batch: usize, threads: usize) -> ServeEngine {
             admission: None,
             overload: OverloadPolicy::Shed,
             tenants: vec![AppId(0)],
-            threads: Some(threads),
+            threads: None,
         },
         registry(),
+        1,
     )
     .expect("valid config")
 }
@@ -169,7 +165,7 @@ fn sharded_engine(n_shards: usize) -> ShardedServeEngine {
 
 /// Push the whole stream through `e`, starting the simulated clock at
 /// `tick` (the engine requires non-decreasing time across iterations).
-fn drive(e: &mut ServeEngine, stream: &[PredictRequest], tick: &mut u64) -> Vec<usize> {
+fn drive(e: &mut ShardedServeEngine, stream: &[PredictRequest], tick: &mut u64) -> Vec<usize> {
     let mut classes = Vec::with_capacity(stream.len());
     for req in stream {
         *tick += 1_000;
@@ -248,14 +244,6 @@ fn counts_from_env(var: &str, default: Vec<usize>) -> Vec<usize> {
         }
     }
     default
-}
-
-fn thread_counts() -> Vec<usize> {
-    let hw = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let mut counts = vec![1, 2, hw.max(4)];
-    counts.sort_unstable();
-    counts.dedup();
-    counts_from_env("QI_BENCH_THREADS", counts)
 }
 
 struct BenchRow {
@@ -367,7 +355,6 @@ fn main() {
         || std::env::var("QI_BENCH_QUICK")
             .map(|v| v == "1")
             .unwrap_or(false);
-    let counts = thread_counts();
     let shard_counts = counts_from_env("QI_SERVE_SHARDS", vec![1, 2, 4, 8]);
     let hw = std::thread::available_parallelism().map_or(1, |n| n.get());
     let n_requests = if quick { 256 } else { 2048 };
@@ -376,26 +363,21 @@ fn main() {
 
     println!(
         "serve throughput bench: {n_requests} requests, batches {batches:?}, \
-         threads {counts:?}, shards {shard_counts:?} on {hw} hardware thread(s)"
+         shards {shard_counts:?} on {hw} hardware thread(s)"
     );
 
-    // Determinism gate #1 (never waived): batching and threading must
-    // not change a single predicted class on the single engine.
+    // Determinism gate #1 (never waived): batching must not change a
+    // single predicted class.
     let stream = requests(n_requests);
     let reference = {
         let mut tick = 0u64;
-        drive(&mut engine(1, 1), &stream, &mut tick)
+        drive(&mut engine(1), &stream, &mut tick)
     };
     assert_eq!(reference.len(), n_requests);
     for &b in &batches {
-        for &n in &counts {
-            let mut tick = 0u64;
-            let got = drive(&mut engine(b, n), &stream, &mut tick);
-            assert_eq!(
-                got, reference,
-                "predictions diverged at batch {b}, {n} threads"
-            );
-        }
+        let mut tick = 0u64;
+        let got = drive(&mut engine(b), &stream, &mut tick);
+        assert_eq!(got, reference, "predictions diverged at batch {b}");
     }
 
     // Determinism gate #2 (never waived): the sharded engine must
@@ -427,21 +409,19 @@ fn main() {
         let got = sorted(drive_sharded(&mut eng, &per_shard, &pool, 0, span));
         assert_eq!(got, shard_reference, "predictions diverged at {s} shards");
     }
-    println!("determinism: all (batch, threads) and shard-count configurations agree");
+    println!("determinism: all batch-size and shard-count configurations agree");
 
     let mut c = Criterion::default()
         .with_budget(Duration::ZERO, Duration::ZERO)
         .min_samples(samples);
     for &b in &batches {
-        for &n in &counts {
-            // One engine per configuration; the simulated clock keeps
-            // advancing across iterations, wall time is what's measured.
-            let mut e = engine(b, n);
-            let mut tick = 0u64;
-            c.bench_function(&format!("serve_predict/batch{b}/{n}t"), |bench| {
-                bench.iter(|| drive(&mut e, &stream, &mut tick))
-            });
-        }
+        // One engine per configuration; the simulated clock keeps
+        // advancing across iterations, wall time is what's measured.
+        let mut e = engine(b);
+        let mut tick = 0u64;
+        c.bench_function(&format!("serve_predict/batch{b}/1t"), |bench| {
+            bench.iter(|| drive(&mut e, &stream, &mut tick))
+        });
     }
     for &s in &shard_counts {
         let mut eng = sharded_engine(s);
@@ -492,8 +472,8 @@ fn main() {
         })
         .collect();
 
-    // Batching must pay for itself: comparing at the best thread count,
-    // batch-32 must be at least as fast as unbatched.
+    // Batching must pay for itself: batch-32 must be at least as fast
+    // as unbatched.
     let best = |b: usize| {
         rows.iter()
             .filter(|r| r.shards == 1 && r.name.starts_with("serve_predict") && r.batch == b)
@@ -501,7 +481,7 @@ fn main() {
             .fold(0.0f64, f64::max)
     };
     let (t1, t32) = (best(1), best(32));
-    println!("single engine, best thread count: batch1 {t1:.0} preds/s, batch32 {t32:.0} preds/s");
+    println!("batch sweep: batch1 {t1:.0} preds/s, batch32 {t32:.0} preds/s");
     assert!(
         t32 >= t1,
         "batch-32 throughput ({t32:.0}/s) fell below unbatched ({t1:.0}/s)"

@@ -29,8 +29,8 @@
 //!   cluster ticks once per closed window. It ingests trace deltas into
 //!   the *same* [`FeaturePipeline`](qi_monitor::FeaturePipeline) that
 //!   built the training data, submits one request per active app to a
-//!   [`PredictService`](qi_serve::PredictService) (single or sharded
-//!   engine), and pushes the gated directives back to the cluster,
+//!   [`PredictService`](qi_serve::PredictService) (the serve engine),
+//!   and pushes the gated directives back to the cluster,
 //!   which applies them through
 //!   [`Cluster::apply_directive`](qi_pfs::cluster::Cluster::apply_directive).
 //!

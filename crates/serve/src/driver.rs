@@ -20,14 +20,13 @@ use qi_pfs::ops::RunTrace;
 use qi_simkit::error::QiError;
 use qi_simkit::time::SimTime;
 
-use crate::engine::{Admission, PredictRequest, Prediction, ServeEngine};
+use crate::engine::{Admission, PredictRequest, Prediction, ShardedServeEngine};
 use crate::registry::ModelRegistry;
-use crate::sharded::ShardedServeEngine;
 
-/// What the replay driver needs from a prediction service. Both
-/// [`ServeEngine`] and [`ShardedServeEngine`] implement it, so a trace
-/// replays identically-shaped through either — the sharding test suite
-/// leans on this to compare engines like for like.
+/// What the replay driver (and the control loop) needs from a
+/// prediction service. [`ShardedServeEngine`] is the library's
+/// implementation; callers substitute their own through this trait, for
+/// example to wrap the engine with timing.
 pub trait PredictService {
     /// The registry backing the service (the replay derives its
     /// pipeline configuration from the registry's expected schema).
@@ -40,22 +39,6 @@ pub trait PredictService {
     ) -> Result<(Admission, Vec<Prediction>), QiError>;
     /// End of stream: flush whatever is queued.
     fn finish(&mut self, now: SimTime) -> Result<Vec<Prediction>, QiError>;
-}
-
-impl PredictService for ServeEngine {
-    fn registry(&self) -> &ModelRegistry {
-        ServeEngine::registry(self)
-    }
-    fn submit(
-        &mut self,
-        now: SimTime,
-        req: PredictRequest,
-    ) -> Result<(Admission, Vec<Prediction>), QiError> {
-        ServeEngine::submit(self, now, req)
-    }
-    fn finish(&mut self, now: SimTime) -> Result<Vec<Prediction>, QiError> {
-        ServeEngine::finish(self, now)
-    }
 }
 
 impl PredictService for ShardedServeEngine {

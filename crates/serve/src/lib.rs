@@ -12,46 +12,40 @@
 //!   active model between batches, reject models whose shape or embedded
 //!   [`qi_monitor::FeatureSchema`] does not match the monitor's feature
 //!   layout.
-//! - [`engine`] — a micro-batching inference engine: prediction requests
-//!   (one per emitted `(app, window)` cell) accumulate in a bounded
-//!   queue and are flushed as a single stacked forward pass when either
-//!   the batch-size or the batch-delay threshold trips, with token-bucket
-//!   admission control and an explicit overload policy
-//!   ([`engine::OverloadPolicy`]: shed, block, or degrade to stale
-//!   answers) so the service degrades gracefully instead of growing
-//!   unbounded queues.
-//! - [`sharded`] — the scale-out engine: N independent worker shards
-//!   routed by tenant hash, each owning its own micro-batcher, token
-//!   buckets, scratch buffers, and statistics, all serving from ONE
-//!   shared registry through the fused immutable inference path. Per
-//!   the module's determinism argument, predicted classes and telemetry
-//!   snapshots are byte-identical at any shard count and thread count.
+//! - [`engine`] — the serving engine, [`ShardedServeEngine`]: one
+//!   micro-batching lane per tenant (bounded queue, flushed as a single
+//!   stacked forward pass when the batch-size or batch-delay threshold
+//!   trips, with per-tenant token-bucket admission and an explicit
+//!   overload policy — [`engine::OverloadPolicy`]: shed, block, or
+//!   degrade to stale answers), lanes grouped into worker shards by
+//!   tenant hash, all serving from ONE shared registry through the
+//!   fused immutable inference path.
 //! - [`driver`] — replays a finished [`qi_pfs::ops::RunTrace`] through
-//!   the [`qi_monitor::FeaturePipeline`] and any [`PredictService`]
-//!   (single or sharded engine) in event-time order, the deterministic
-//!   stand-in for a live metric stream. The pipeline configuration is
-//!   derived from the registry's expected schema, so replay and
-//!   validation can never disagree.
+//!   the [`qi_monitor::FeaturePipeline`] and any [`PredictService`] in
+//!   event-time order, the deterministic stand-in for a live metric
+//!   stream. The pipeline configuration is derived from the registry's
+//!   expected schema, so replay and validation can never disagree.
 //!
 //! Determinism argument: no wall clock is ever read — arrival times,
 //! batch-delay deadlines, admission grants, and the modelled inference
 //! cost are all [`qi_simkit::time::SimTime`] arithmetic; the batched
 //! forward pass runs through `qi_ml`'s fused immutable kernels, which
 //! are bit-identical to the training-path forward (proven by property
-//! tests) and identical at any shard or thread count; and the serving
-//! telemetry ([`qi_telemetry`]) registers every key up front so
-//! snapshot key sets are stable across scenarios. Identical inputs
-//! therefore produce byte-identical outputs and telemetry, replay after
-//! replay, at 1, 2, or 8 worker threads and 1..N shards.
+//! tests); no observable state lives at shard granularity; and every
+//! telemetry key exists from construction, so snapshot key sets are
+//! stable across scenarios. Identical inputs therefore produce
+//! byte-identical outputs and telemetry, replay after replay, at any
+//! shard count and any thread count.
 
 #![forbid(unsafe_code)]
 
 pub mod driver;
 pub mod engine;
 pub mod registry;
-pub mod sharded;
 
 pub use driver::{replay_trace, PredictService, ReplaySummary};
-pub use engine::{Admission, OverloadPolicy, PredictRequest, Prediction, ServeConfig, ServeEngine};
+pub use engine::{
+    shard_of_tenant, Admission, OverloadPolicy, PredictRequest, Prediction, ServeConfig,
+    ShardWorker, ShardedServeEngine,
+};
 pub use registry::ModelRegistry;
-pub use sharded::{shard_of_tenant, ShardWorker, ShardedServeEngine};

@@ -2,24 +2,23 @@
 //! model versions into the registry, then stream a live interfered run
 //! (executed under an active fault plan) through the streaming monitor
 //! into the micro-batching serve engine — including a hot swap to a
-//! retrained model and an overloaded replay where the `Shed` policy
-//! keeps the queue bounded.
+//! retrained model and an overloaded replay where per-tenant admission
+//! and the `Shed` policy keep every queue bounded.
 //!
 //! ```sh
 //! cargo run --release --example serve_loop
 //! ```
 //!
 //! Exits non-zero if the serving accounting invariant breaks or the
-//! session is not byte-identical across worker-thread counts and shard
-//! counts, so `scripts/bench.sh --smoke` can use it as a determinism
-//! gate.
+//! session is not byte-identical across shard counts, so
+//! `scripts/bench.sh --smoke` can use it as a determinism gate.
 
 use quanterference_repro::serve_demo::run_serve_session;
 use quanterference_repro::simkit::QiError;
 
 fn main() -> Result<(), QiError> {
-    println!("== online serving session (2 worker threads, 2 shards) ==");
-    let s = run_serve_session(Some(2), 2)?;
+    println!("== online serving session (2 shards) ==");
+    let s = run_serve_session(2)?;
     println!(
         "offline F1 = {:.3}, serving shape [{}]",
         s.offline_f1, s.shape
@@ -54,7 +53,7 @@ fn main() -> Result<(), QiError> {
         s.v1.predictions.len()
     );
 
-    println!("\n-- overloaded replay: 1 req/s admission, Shed policy --");
+    println!("\n-- overloaded replay: 0.5 req/s admission per tenant, Shed policy --");
     println!(
         "{} requests: {} answered, {} shed (queue stayed bounded)",
         s.overload.submitted,
@@ -74,50 +73,21 @@ fn main() -> Result<(), QiError> {
         }
     }
 
-    println!("\n-- sharded replay: same trace, tenant-sharded engine --");
-    println!(
-        "{} requests v1, {} requests v2; sharded engine answered {}",
-        s.sharded_v1.submitted,
-        s.sharded_v2.submitted,
-        s.sharded_snapshot.counter("serve.answered").unwrap_or(0),
-    );
-
-    // Gate 1: the accounting invariant on all three engines.
+    // Gate 1: the accounting invariant on both engines.
     if let Err(why) = s.check_accounting() {
         eprintln!("FAIL: {why}");
         std::process::exit(1);
     }
 
-    // Gate 2: the fused kernels are row-independent, so the sharded
-    // engine must predict the same class for every (tenant, window)
-    // the single engine answered — batching composition be damned.
-    let classes = |preds: &[quanterference_repro::serve::Prediction]| {
-        let mut v: Vec<(u32, u64, usize)> = preds
-            .iter()
-            .map(|p| (p.tenant.0, p.window, p.class))
-            .collect();
-        v.sort_unstable();
-        v
-    };
-    if classes(&s.v1.predictions) != classes(&s.sharded_v1.predictions) {
-        eprintln!("FAIL: sharded engine predicted different classes than the single engine");
-        std::process::exit(1);
-    }
-
-    // Gate 3: byte-identical serving telemetry at a different worker
-    // count AND a different shard count (the batched forward pass is
-    // bit-identical at any width; lanes are shard-count-blind).
-    let other = run_serve_session(Some(1), 4)?;
+    // Gate 2: byte-identical serving telemetry at a different shard
+    // count (lanes are shard-count-blind).
+    let other = run_serve_session(4)?;
     if other.snapshot.to_json() != s.snapshot.to_json()
         || other.overload_snapshot.to_json() != s.overload_snapshot.to_json()
     {
-        eprintln!("FAIL: serving telemetry diverged between 1 and 2 worker threads");
+        eprintln!("FAIL: serving telemetry diverged between 2 and 4 shards");
         std::process::exit(1);
     }
-    if other.sharded_snapshot.to_json() != s.sharded_snapshot.to_json() {
-        eprintln!("FAIL: sharded telemetry diverged between 2 and 4 shards");
-        std::process::exit(1);
-    }
-    println!("\nreplay: serving telemetry byte-identical at 1/2 worker threads and 2/4 shards");
+    println!("\nreplay: serving telemetry byte-identical at 2/4 shards");
     Ok(())
 }

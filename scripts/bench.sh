@@ -14,7 +14,7 @@
 #   scripts/bench.sh --smoke    # quick run (2 samples, 192^3 matmul)
 #
 # Environment:
-#   QI_BENCH_THREADS=1,2,8   thread counts to sweep (both benches)
+#   QI_BENCH_THREADS=1,2,8   thread counts to sweep (parallel bench)
 #   QI_SERVE_SHARDS=1,2,4,8  shard counts for the serving sweep
 #   QI_BENCH_OUT=path.json   where to write the parallel report
 #   QI_SERVE_OUT=path.json   where to write the serving report
@@ -98,10 +98,9 @@ if [[ "${QI_SKIP_FAULT_SWEEP:-}" != "1" ]]; then
 fi
 
 # Online-serving gate: trains, serves a faulted interfered run through
-# the micro-batching engine with a mid-stream hot swap, an overloaded
-# Shed replay, and a tenant-sharded replay; exits non-zero if the
-# accounting invariant breaks or the serving telemetry differs across
-# worker-thread counts or shard counts.
+# the micro-batching engine with a mid-stream hot swap, then an
+# overloaded Shed replay; exits non-zero if the accounting invariant
+# breaks or the serving telemetry differs across shard counts.
 if [[ "${QI_SKIP_SERVE:-}" != "1" ]]; then
     cargo run --release --example serve_loop
 fi
@@ -140,11 +139,11 @@ stage QI_SKIP_CONTROL QI_CONTROL_OUT control_loop --test control_determinism
 # counter drift (QI_SKIP_ANOMALY_GATE=1 to waive).
 stage QI_SKIP_ANOMALY QI_ANOMALY_OUT anomaly_scale --test anomaly_detection
 
-# Serving throughput (BENCH_serve.json): batch {1,8,32} x worker
-# threads on the single engine, plus the sharded sweep (QI_SERVE_SHARDS,
-# default 1,2,4,8) driving every shard from its own rayon worker.
-# Classes are asserted identical across every batch size, thread count,
-# and shard count (never waived), batch 32 must beat batch 1, each
+# Serving throughput (BENCH_serve.json): batch {1,8,32} on a one-shard
+# engine, plus the shard sweep (QI_SERVE_SHARDS, default 1,2,4,8)
+# driving every shard from its own rayon worker. Classes are asserted
+# identical across every batch size and shard count (never waived),
+# batch 32 must beat batch 1, each
 # row's p95 is gated to +10% of the recorded baseline
 # (QI_SKIP_P95_GATE=1 to re-baseline), and the throughput gate requires
 # >= 1M aggregate preds/s on multi-core hosts — auto-degraded on a

@@ -111,7 +111,6 @@ fn golden_json_parses_and_reserialises_byte_identically() {
         "interfered_ior_easy_read_s11.metrics.json",
         "serve_loop.metrics.json",
         "serve_loop.overload.metrics.json",
-        "serve_loop.sharded.metrics.json",
         "anomaly_session.metrics.json",
     ] {
         let text = std::fs::read_to_string(golden_dir().join(name)).expect("golden present");
@@ -121,14 +120,13 @@ fn golden_json_parses_and_reserialises_byte_identically() {
 }
 
 /// The full online-serving session (train → registry → micro-batched
-/// replay with a hot swap → overloaded replay under Shed → sharded
-/// replay with the same hot swap) pinned to golden snapshots, then
-/// re-run at other worker-thread AND shard counts: the serving
-/// telemetry must be byte-identical at every combination. The session
+/// replay with a hot swap → overloaded replay under Shed) pinned to
+/// golden snapshots, then re-run at other shard counts: the serving
+/// telemetry must be byte-identical at every shard count. The session
 /// runs under an active `FaultPlan`, so fault injection is covered too.
 #[test]
-fn serve_session_snapshot_matches_golden_across_thread_counts() {
-    let reference = run_serve_session(Some(1), 1).expect("serving session runs");
+fn serve_session_snapshot_matches_golden_across_shard_counts() {
+    let reference = run_serve_session(1).expect("serving session runs");
     reference
         .check_accounting()
         .expect("every request answered, answered stale, or shed");
@@ -138,39 +136,22 @@ fn serve_session_snapshot_matches_golden_across_thread_counts() {
     assert_eq!(snap.counter("serve.shed"), Some(0), "generous engine shed");
     assert_eq!(snap.gauge("serve.registry.active_version"), Some(2.0));
     assert!(reference.overload.shed > 0, "overload engine never shed");
-    assert!(
-        reference
-            .sharded_snapshot
-            .counter("serve.answered")
-            .unwrap_or(0)
-            > 0,
-        "sharded engine never served"
-    );
     check_golden("serve_loop.metrics.json", &snap.to_json());
     check_golden(
         "serve_loop.overload.metrics.json",
         &reference.overload_snapshot.to_json(),
     );
-    check_golden(
-        "serve_loop.sharded.metrics.json",
-        &reference.sharded_snapshot.to_json(),
-    );
-    for (threads, shards) in [(2usize, 2usize), (8, 8)] {
-        let other = run_serve_session(Some(threads), shards).expect("serving session runs");
+    for shards in [2, 8] {
+        let other = run_serve_session(shards).expect("serving session runs");
         assert_eq!(
             other.snapshot.to_json(),
             reference.snapshot.to_json(),
-            "serving telemetry diverged at {threads} worker threads"
+            "serving telemetry diverged at {shards} shards"
         );
         assert_eq!(
             other.overload_snapshot.to_json(),
             reference.overload_snapshot.to_json(),
-            "overload telemetry diverged at {threads} worker threads"
-        );
-        assert_eq!(
-            other.sharded_snapshot.to_json(),
-            reference.sharded_snapshot.to_json(),
-            "sharded telemetry diverged at {shards} shards"
+            "overload telemetry diverged at {shards} shards"
         );
     }
 }
