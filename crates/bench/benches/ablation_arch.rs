@@ -34,7 +34,7 @@ fn evaluate(
     cfg: &TrainConfig,
     labels: &[String],
 ) -> EvalReport {
-    let mut model = train(train_set, cfg);
+    let model = train(train_set, cfg);
     let cm = model.evaluate(test_set);
     let count = |d: &Dataset| {
         let mut c = vec![0usize; cfg.n_classes];

@@ -132,7 +132,7 @@ fn main() {
         epochs,
         ..TrainConfig::default()
     };
-    let mut kernel_model = train(&train_set, &cfg);
+    let kernel_model = train(&train_set, &cfg);
     let kernel = report_from_cm(
         kernel_model.evaluate(&test_set),
         train_set.len(),
@@ -146,7 +146,7 @@ fn main() {
 
     // 3. Regression + thresholding.
     println!("training the level regressor...");
-    let mut reg = train_regression(&train_set, &train_levels, &cfg);
+    let reg = train_regression(&train_set, &train_levels, &cfg);
     let preds = reg.predict_levels(&test_set);
     let bins = Bins::binary();
     let mut cm = ConfusionMatrix::new(2);

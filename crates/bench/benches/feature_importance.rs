@@ -23,8 +23,8 @@ fn main() {
         epochs: if small { 20 } else { 40 },
         ..TrainConfig::default()
     };
-    let mut model = qi_ml::train::train(&train_set, &tcfg);
-    let imp = permutation_importance(&mut model, &test_set, spec.features, 7, 3)
+    let model = qi_ml::train::train(&train_set, &tcfg);
+    let imp = permutation_importance(&model, &test_set, spec.features, 7, 3)
         .expect("importance computes");
     println!(
         "base F1 {:.3} on {} test windows; permutation importance (top 15):\n",

@@ -1,27 +1,26 @@
 //! **Parallel execution harness** (DESIGN.md — execution layer).
 //!
-//! Benchmarks the two hot paths that the work-stealing pool behind the
+//! Benchmarks the hot path that the work-stealing pool behind the
 //! vendored `rayon` shim parallelises — the dataset sweep
 //! (`dataset::generate`, overlapping baseline + interfered simulations)
-//! and the blocked matmul in `qi_ml::matrix` — at 1, 2, and N worker
-//! threads, then writes `BENCH_parallel.json` at the repository root
-//! with median wall-clock times and speedups relative to one thread.
+//! — at 1, 2, and N worker threads, then writes `BENCH_parallel.json` at
+//! the repository root with median wall-clock times and speedups
+//! relative to one thread.
 //!
 //! Determinism is asserted, not assumed: before timing, every thread
 //! count's output is checked bit-for-bit against the single-threaded
-//! run (dataset labels, feature bits, provenance; matmul output bits).
+//! run (dataset labels, feature bits, provenance).
 //!
 //! Knobs:
 //! - `QI_BENCH_THREADS=1,2,8` overrides the thread counts.
 //! - `QI_BENCH_OUT=path.json` overrides the output path.
-//! - `QI_BENCH_QUICK=1` (or `QI_SMOKE=1`) shrinks sample counts and the
-//!   matmul size for smoke runs.
+//! - `QI_BENCH_QUICK=1` (or `QI_SMOKE=1`) shrinks sample counts for
+//!   smoke runs.
 
 use std::time::Duration;
 
 use criterion::Criterion;
 use qi_bench::is_smoke;
-use qi_ml::matrix::Matrix;
 use quanterference::dataset::{generate_on, DatasetSpec, GeneratedDataset};
 use rayon::{ThreadPool, ThreadPoolBuilder};
 
@@ -60,20 +59,6 @@ fn pool(threads: usize) -> ThreadPool {
         .expect("pool construction cannot fail for nonzero thread counts")
 }
 
-/// Deterministic dense test operands for the matmul bench.
-fn matmul_operands(n: usize) -> (Matrix, Matrix) {
-    let fill = |salt: u32| {
-        let data = (0..n * n)
-            .map(|i| {
-                let h = (i as u32).wrapping_mul(2_654_435_761).wrapping_add(salt);
-                (h >> 8) as f32 / (1u32 << 24) as f32 - 0.5
-            })
-            .collect();
-        Matrix::from_vec(n, n, data)
-    };
-    (fill(17), fill(91))
-}
-
 struct BenchRow {
     name: String,
     threads: usize,
@@ -81,9 +66,10 @@ struct BenchRow {
     speedup_vs_1t: f64,
 }
 
-fn write_json(rows: &[BenchRow], hw: usize, out: &std::path::Path) {
+fn write_json(rows: &[BenchRow], hw: usize, samples: usize, out: &std::path::Path) {
     let mut s = String::from("{\n");
     s.push_str(&format!("  \"hardware_threads\": {hw},\n"));
+    s.push_str(&format!("  \"samples\": {samples},\n"));
     s.push_str("  \"generated_by\": \"cargo bench -p qi-bench --bench parallel\",\n");
     s.push_str("  \"benches\": [\n");
     for (i, r) in rows.iter().enumerate() {
@@ -107,7 +93,6 @@ fn main() {
             .unwrap_or(false);
     let counts = thread_counts();
     let hw = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let matmul_n = if quick { 192 } else { 512 };
     let samples = if quick { 2 } else { 5 };
 
     println!("parallel bench: threads {counts:?} on {hw} hardware thread(s)");
@@ -115,31 +100,12 @@ fn main() {
     // Determinism gate: every thread count must reproduce the
     // single-thread output bit-for-bit before we bother timing it.
     let spec = DatasetSpec::smoke();
-    let (a, b) = matmul_operands(matmul_n);
-    let reference = {
-        let p = pool(1);
-        (
-            dataset_fingerprint(&generate_on(&p, &spec).expect("sweep runs")),
-            p.install(|| a.matmul(&b)),
-        )
-    };
+    let reference = dataset_fingerprint(&generate_on(&pool(1), &spec).expect("sweep runs"));
     for &n in &counts {
-        let p = pool(n);
         assert_eq!(
-            dataset_fingerprint(&generate_on(&p, &spec).expect("sweep runs")),
-            reference.0,
+            dataset_fingerprint(&generate_on(&pool(n), &spec).expect("sweep runs")),
+            reference,
             "dataset output diverged at {n} threads"
-        );
-        let prod = p.install(|| a.matmul(&b));
-        assert_eq!(
-            prod.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-            reference
-                .1
-                .data()
-                .iter()
-                .map(|v| v.to_bits())
-                .collect::<Vec<_>>(),
-            "matmul output diverged at {n} threads"
         );
     }
     println!("determinism: all thread counts byte-identical to 1 thread");
@@ -153,9 +119,6 @@ fn main() {
         let p = pool(n);
         c.bench_function(&format!("dataset_generate_smoke/{n}t"), |bench| {
             bench.iter(|| generate_on(&p, &spec).expect("sweep runs"))
-        });
-        c.bench_function(&format!("matmul_{matmul_n}/{n}t"), |bench| {
-            bench.iter(|| p.install(|| a.matmul(&b)))
         });
     }
 
@@ -194,6 +157,6 @@ fn main() {
         },
         std::path::PathBuf::from,
     );
-    write_json(&rows, hw, &out);
+    write_json(&rows, hw, samples, &out);
     println!("wrote {}", out.display());
 }

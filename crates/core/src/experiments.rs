@@ -455,7 +455,7 @@ impl FailSlowReport {
 /// `predictor` which windows it would have flagged as interference.
 pub fn fail_slow_probe(
     scenario: &Scenario,
-    predictor: &mut crate::predict::Predictor,
+    predictor: &crate::predict::Predictor,
     dev: qi_pfs::ids::DeviceId,
     at: qi_simkit::SimTime,
     factor: f64,
@@ -548,7 +548,7 @@ mod tests {
             epochs: 8,
             ..Default::default()
         };
-        let (_, mut predictor, _) =
+        let (_, predictor, _) =
             crate::predict::train_and_evaluate(&spec, &tcfg, 2).expect("pipeline runs");
         let scenario = Scenario {
             cluster: qi_pfs::config::ClusterConfig::small(),
@@ -558,7 +558,7 @@ mod tests {
         };
         let report = fail_slow_probe(
             &scenario,
-            &mut predictor,
+            &predictor,
             qi_pfs::ids::DeviceId(0),
             qi_simkit::SimTime::ZERO,
             8.0,

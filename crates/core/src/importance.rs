@@ -39,7 +39,7 @@ impl FeatureImportance {
     }
 }
 
-fn f1_of(model: &mut TrainedModel, data: &Dataset) -> f64 {
+fn f1_of(model: &TrainedModel, data: &Dataset) -> f64 {
     let preds = model.predict(data);
     let mut cm = ConfusionMatrix::new(model.n_classes());
     for (&actual, pred) in data.y.iter().zip(preds) {
@@ -56,7 +56,7 @@ fn f1_of(model: &mut TrainedModel, data: &Dataset) -> f64 {
 /// (typically the held-out test set), averaging over `repeats`
 /// permutations per feature.
 pub fn permutation_importance(
-    model: &mut TrainedModel,
+    model: &TrainedModel,
     data: &Dataset,
     fcfg: FeatureConfig,
     seed: u64,
@@ -141,7 +141,7 @@ mod tests {
             lr: 3e-3,
             ..TrainConfig::default()
         };
-        let mut model = train(&data, &cfg);
+        let model = train(&data, &cfg);
         // A feature config whose width matches the synthetic data.
         let fake_cfg = FeatureConfig {
             client: false,
@@ -150,7 +150,7 @@ mod tests {
         // Can't use the real schema (widths differ); call the internals
         // directly instead with handmade names.
         let names: Vec<String> = (0..4).map(|i| format!("f{i}")).collect();
-        let base = f1_of(&mut model, &data);
+        let base = f1_of(&model, &data);
         assert!(base > 0.95, "model failed to learn: {base}");
         // Permute each column by hand and compare drops.
         let mut drops = Vec::new();
@@ -164,7 +164,7 @@ mod tests {
                 shuffled.x.set(i, f, b);
                 shuffled.x.set(j, f, a);
             }
-            drops.push(base - f1_of(&mut model, &shuffled));
+            drops.push(base - f1_of(&model, &shuffled));
         }
         let _ = (names, fake_cfg);
         let max_noise = drops[1..].iter().cloned().fold(f64::MIN, f64::max);

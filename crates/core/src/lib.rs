@@ -22,7 +22,7 @@
 //! // Generate a small labelled dataset, train, evaluate (Fig. 3 shape).
 //! let spec = DatasetSpec::smoke();
 //! let tcfg = TrainConfig::default();
-//! let (dataset, mut predictor, report) = train_and_evaluate(&spec, &tcfg, 42)?;
+//! let (dataset, predictor, report) = train_and_evaluate(&spec, &tcfg, 42)?;
 //! println!("{}", report.render());
 //! println!("F1 = {:.3} on {} test windows", report.headline_f1(), report.test_size);
 //! # let _ = (dataset, predictor.bin_labels());

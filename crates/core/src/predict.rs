@@ -97,7 +97,7 @@ impl Predictor {
     /// Predict the severity bin for one assembled feature block
     /// (`n_devices × n_features`, flattened row-major). Fails with
     /// [`QiError::Shape`] when the block has the wrong element count.
-    pub fn predict_block(&mut self, block: &[f32]) -> Result<usize, QiError> {
+    pub fn predict_block(&self, block: &[f32]) -> Result<usize, QiError> {
         let f = self.features.len();
         let expected = self.n_devices as usize * f;
         if block.len() != expected {
@@ -114,7 +114,7 @@ impl Predictor {
     /// Predict every window of a finished run's target application.
     /// Returns `window index → predicted bin`, sorted by window.
     pub fn predict_run(
-        &mut self,
+        &self,
         trace: &RunTrace,
         target: AppId,
     ) -> Result<Vec<(u64, usize)>, QiError> {
@@ -137,7 +137,7 @@ impl Predictor {
     /// Compare predictions against ground-truth degradation levels.
     /// Returns `(window, predicted bin, true bin)` for labelled windows.
     pub fn score_run(
-        &mut self,
+        &self,
         trace: &RunTrace,
         target: AppId,
         truth: &HashMap<u64, f64>,
@@ -199,7 +199,7 @@ pub fn train_and_evaluate(
     let (train_set, test_set) = gen.data.split(0.2, split_seed);
     let mut tcfg = tcfg.clone();
     tcfg.n_classes = spec.bins.n_classes();
-    let mut model = qi_ml::train::train_with_schema(&train_set, &tcfg, gen.schema.clone())?;
+    let model = qi_ml::train::train_with_schema(&train_set, &tcfg, gen.schema.clone())?;
     let cm = model.evaluate(&test_set);
     let count = |d: &Dataset| {
         let mut c = vec![0usize; spec.bins.n_classes()];
@@ -290,8 +290,7 @@ mod tests {
             epochs: 8,
             ..Default::default()
         };
-        let (gen, mut predictor, report) =
-            train_and_evaluate(&spec, &tcfg, 9).expect("pipeline runs");
+        let (gen, predictor, report) = train_and_evaluate(&spec, &tcfg, 9).expect("pipeline runs");
         assert_eq!(report.train_size + report.test_size, gen.data.len());
         assert!(report.cm.total() as usize == report.test_size);
         assert!(report.headline_f1() >= 0.0);
@@ -353,7 +352,7 @@ mod tests {
             epochs: 2,
             ..Default::default()
         };
-        let (_, mut predictor, _) = train_and_evaluate(&spec, &tcfg, 1).expect("pipeline runs");
+        let (_, predictor, _) = train_and_evaluate(&spec, &tcfg, 1).expect("pipeline runs");
         let err = predictor.predict_block(&[0.0; 3]).expect_err("bad shape");
         match err {
             qi_simkit::QiError::Shape { expected, got, .. } => {

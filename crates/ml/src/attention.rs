@@ -196,12 +196,11 @@ impl AttentionNet {
     pub fn apply(&mut self, opt: &mut Adam) {
         opt.tick();
         let mut slot = 0;
-        let lr = opt.lr();
-        self.embed.apply(opt, &mut slot, lr);
-        self.wq.apply(opt, &mut slot, lr);
-        self.wk.apply(opt, &mut slot, lr);
-        self.wv.apply(opt, &mut slot, lr);
-        self.head.apply(opt, &mut slot, lr);
+        self.embed.apply(opt, &mut slot);
+        self.wq.apply(opt, &mut slot);
+        self.wk.apply(opt, &mut slot);
+        self.wv.apply(opt, &mut slot);
+        self.head.apply(opt, &mut slot);
     }
 
     /// Attention weights of the last forward pass for `sample` in the

@@ -1,16 +1,16 @@
-//! Fused, allocation-free inference kernels for the serving hot path.
+//! The fused dense-layer kernels: the only dense forward in `qi-ml`.
 //!
-//! Training wants gradients, so its forward pass caches inputs and takes
-//! `&mut self`. Serving wants throughput from an *immutable* model: many
-//! shards reading one set of weights, no per-batch allocation, no cached
-//! state. This module is that path:
+//! Training ([`crate::layers::Mlp::forward`], which caches each layer's
+//! input for backprop) and serving (the immutable, allocation-free
+//! `forward_into` chains) both run [`dense_fused`], so the two agree
+//! bit for bit by construction.
 //!
 //! - [`InferScratch`] — caller-owned ping-pong activation buffers. One
 //!   scratch per serving shard; capacity grows to the largest batch seen
 //!   and is reused forever after.
 //! - [`dense_fused`] — one dense layer with the bias add and ReLU fused
 //!   into the accumulation epilogue, dispatched to width-specialised
-//!   micro-kernels (the serve shapes have tiny output widths: 32, 16, 1,
+//!   micro-kernels (the model shapes have tiny output widths: 32, 16, 1,
 //!   2). Each kernel keeps a whole output row of accumulators on the
 //!   stack — a `[f32; W]` the compiler holds in vector registers — and
 //!   streams the weight matrix row-major, so the inner loop is a
@@ -20,13 +20,10 @@
 //! - [`standardize_into`] — the z-score transform written into a scratch
 //!   buffer instead of a cloned `Matrix`.
 //!
-//! **Bit-identity invariant** (the same one `qi_ml::matrix` keeps):
-//! every output element is accumulated in strictly ascending-`k` order
-//! into a single accumulator, the bias is added after the full sum, and
-//! ReLU clamps exactly like [`crate::layers::Relu`]. Therefore the fused
-//! path produces results bit-identical to the naive
-//! `matmul` → `add_row_vec` → `Relu` composition — proven for arbitrary
-//! shapes by the property suite in `crates/ml/tests/fused_infer.rs`.
+//! **Accumulation order:** every output element is accumulated in
+//! strictly ascending-`k` order into a single accumulator, and the bias
+//! is added after the full sum. Results therefore do not depend on the
+//! kernel width chosen or on the batch a row arrives in.
 
 /// Caller-owned scratch for the immutable inference path: an input
 /// staging buffer plus two ping-pong activation buffers. Reusing one of
@@ -70,8 +67,8 @@ pub(crate) fn standardize_into(
 
 /// One fused dense layer: `out[r] = act(x[r] · w + bias)` for each of
 /// `rows` input rows, `w` row-major `in_w × out_w`. `relu` applies the
-/// exact [`crate::layers::Relu`] clamp (`v > 0.0 ? v : 0.0`). `out` is
-/// cleared and filled with `rows × out_w` values.
+/// clamp `v > 0.0 ? v : 0.0`. `out` is cleared and filled with
+/// `rows × out_w` values.
 // Flat hot-path signature: the scratch-owned slices must stay separate
 // borrows so the caller can ping-pong buffers without aliasing.
 #[allow(clippy::too_many_arguments)]
@@ -93,7 +90,7 @@ pub(crate) fn dense_fused(
     // Width-specialised micro-kernels: with `W` a compile-time constant
     // the accumulator array lives entirely in registers and the `j`
     // loop unrolls/vectorizes. The widths below cover every layer shape
-    // the serve models use (and the common test shapes); anything else
+    // the models use (and the common test shapes); anything else
     // takes the tiled dynamic fallback.
     match out_w {
         1 => dense_rows_fixed::<1>(x, rows, in_w, w, bias, relu, out),
@@ -111,16 +108,14 @@ pub(crate) fn dense_fused(
 }
 
 /// Bias + activation epilogue shared by every micro-kernel. The bias is
-/// added after the complete ascending-`k` sum (matching
-/// `matmul` → `add_row_vec`), and the ReLU clamp replicates
-/// `Relu::forward` exactly: anything not strictly positive — including
-/// `-0.0` and NaN — becomes `+0.0`.
+/// added after the complete ascending-`k` sum, and the ReLU clamp maps
+/// anything not strictly positive — including `-0.0` and NaN — to
+/// `+0.0`, so a post-ReLU value is positive exactly where its
+/// pre-activation was (the mask `Mlp::backward` reads back).
 #[inline(always)]
 fn finish<const W: usize>(acc: &mut [f32; W], bias: &[f32], relu: bool) {
     for j in 0..W {
         let v = acc[j] + bias[j];
-        // `pass` mirrors `Relu::forward`: strictly-positive keeps its
-        // value, everything else (zero, negatives, NaN) becomes +0.0.
         let pass = v > 0.0;
         acc[j] = if !relu || pass { v } else { 0.0 };
     }
@@ -213,12 +208,16 @@ fn dense_rows_any(
     }
 }
 
-/// Row argmax with the exact tie-break `predict_batch` uses
-/// (`Iterator::max_by` keeps the *last* maximum under ties).
+/// Row argmax; `Iterator::max_by` keeps the *last* maximum under ties.
+/// Total over any input: NaN ranks below every number, so a row that
+/// overflowed to NaN still yields a class instead of a panic.
 pub(crate) fn argmax_row(row: &[f32]) -> usize {
     row.iter()
         .enumerate()
-        .max_by(|a, b| a.1.partial_cmp(b.1).expect("finite logits"))
+        .max_by(|a, b| match (a.1.is_nan(), b.1.is_nan()) {
+            (false, false) => a.1.partial_cmp(b.1).expect("neither is NaN"),
+            (a_nan, b_nan) => b_nan.cmp(&a_nan),
+        })
         .map(|(i, _)| i)
         .expect("non-empty row")
 }
@@ -303,5 +302,14 @@ mod tests {
     fn argmax_keeps_last_max_on_ties() {
         assert_eq!(argmax_row(&[1.0, 3.0, 3.0, 2.0]), 2);
         assert_eq!(argmax_row(&[0.5]), 0);
+        assert_eq!(argmax_row(&[0.0, -0.0]), 1);
+    }
+
+    #[test]
+    fn argmax_ranks_nan_lowest() {
+        assert_eq!(argmax_row(&[f32::NAN, -1.0]), 1);
+        assert_eq!(argmax_row(&[-1.0, f32::NAN]), 0);
+        assert_eq!(argmax_row(&[f32::NAN, f32::NEG_INFINITY, f32::NAN]), 1);
+        assert_eq!(argmax_row(&[f32::NAN, f32::NAN]), 1);
     }
 }

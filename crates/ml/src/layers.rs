@@ -1,4 +1,5 @@
-//! Dense layers, ReLU, and the MLP container, with manual backprop.
+//! Dense layers and the MLP container, with manual backprop. Every
+//! forward runs the fused kernels in [`crate::infer`].
 
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -50,10 +51,32 @@ impl Dense {
 
     /// Forward pass; caches the input for backprop.
     pub fn forward(&mut self, x: &Matrix) -> Matrix {
-        let mut y = x.matmul(&self.w);
-        y.add_row_vec(&self.b);
-        self.input = Some(x.clone());
-        y
+        self.forward_cached(x.clone(), false)
+    }
+
+    /// Fused forward (`relu` clamps in the epilogue) that keeps `x` as
+    /// the cached input for backprop.
+    fn forward_cached(&mut self, x: Matrix, relu: bool) -> Matrix {
+        assert_eq!(x.cols(), self.inputs(), "dense input width mismatch");
+        let mut y = Vec::new();
+        self.fused(x.data(), x.rows(), relu, &mut y);
+        let rows = x.rows();
+        self.input = Some(x);
+        Matrix::from_vec(rows, self.outputs(), y)
+    }
+
+    /// `out = act(x · W + b)` over `rows` rows through [`dense_fused`].
+    fn fused(&self, x: &[f32], rows: usize, relu: bool, out: &mut Vec<f32>) {
+        dense_fused(
+            x,
+            rows,
+            self.inputs(),
+            self.w.data(),
+            self.outputs(),
+            &self.b,
+            relu,
+            out,
+        );
     }
 
     /// Backward pass: accumulates parameter gradients, returns dL/dx.
@@ -66,12 +89,11 @@ impl Dense {
 
     /// Apply the accumulated gradients through `opt`. `slot` must be a
     /// stable per-layer index so Adam keeps its moments straight.
-    pub fn apply(&mut self, opt: &mut Adam, slot: &mut usize, lr: f32) {
+    pub fn apply(&mut self, opt: &mut Adam, slot: &mut usize) {
         opt.step(*slot, self.w.data_mut(), self.grad_w.data());
         *slot += 1;
         opt.step(*slot, &mut self.b, &self.grad_b);
         *slot += 1;
-        let _ = lr; // learning rate lives in the optimizer
     }
 
     /// Number of trainable parameters.
@@ -103,59 +125,22 @@ impl Dense {
     }
 }
 
-/// ReLU activation (stores its mask for backprop).
-#[derive(Clone, Default)]
-pub struct Relu {
-    mask: Vec<bool>,
-}
-
-impl Relu {
-    /// Forward pass in place.
-    pub fn forward(&mut self, mut x: Matrix) -> Matrix {
-        self.mask.clear();
-        self.mask.reserve(x.data().len());
-        for v in x.data_mut() {
-            let pass = *v > 0.0;
-            self.mask.push(pass);
-            if !pass {
-                *v = 0.0;
-            }
-        }
-        x
-    }
-
-    /// Backward pass in place.
-    pub fn backward(&self, mut grad: Matrix) -> Matrix {
-        assert_eq!(grad.data().len(), self.mask.len());
-        for (g, &m) in grad.data_mut().iter_mut().zip(&self.mask) {
-            if !m {
-                *g = 0.0;
-            }
-        }
-        grad
-    }
-}
-
 /// A multilayer perceptron: Dense → ReLU → … → Dense (no final
 /// activation; pair with a softmax loss or use raw outputs).
 #[derive(Clone)]
 pub struct Mlp {
     layers: Vec<Dense>,
-    relus: Vec<Relu>,
 }
 
 impl Mlp {
     /// MLP with the given layer widths, e.g. `[39, 32, 16, 1]`.
     pub fn new(widths: &[usize], rng: &mut StdRng) -> Self {
         assert!(widths.len() >= 2, "MLP needs at least one layer");
-        let layers: Vec<Dense> = widths
+        let layers = widths
             .windows(2)
             .map(|w| Dense::new(w[0], w[1], rng))
             .collect();
-        let relus = (0..layers.len().saturating_sub(1))
-            .map(|_| Relu::default())
-            .collect();
-        Mlp { layers, relus }
+        Mlp { layers }
     }
 
     /// Input width.
@@ -168,72 +153,40 @@ impl Mlp {
         self.layers.last().expect("non-empty").outputs()
     }
 
-    /// Forward pass.
+    /// Forward pass: the fused kernels with ReLU after every layer but
+    /// the last; each layer caches its input for backprop.
     pub fn forward(&mut self, x: &Matrix) -> Matrix {
         let n = self.layers.len();
-        let mut cur = self.layers[0].forward(x);
-        for i in 1..n {
-            cur = self.relus[i - 1].forward(cur);
-            cur = self.layers[i].forward(&cur);
+        let mut cur = x.clone();
+        for (i, l) in self.layers.iter_mut().enumerate() {
+            cur = l.forward_cached(cur, i + 1 < n);
         }
         cur
     }
 
-    /// Immutable inference forward: the same math as [`Mlp::forward`]
-    /// — bit-identical, proven by the property suite in
-    /// `tests/fused_infer.rs` — but `&self`, allocation-free once the
-    /// scratch buffers are warm, and fused through the
-    /// width-specialised kernels in [`crate::infer`]. `x` is
-    /// `rows × inputs` row-major; the returned `rows × outputs` logits
-    /// live in `scratch` until the next call.
+    /// Immutable inference forward: the same fused kernels as
+    /// [`Mlp::forward`] but `&self` and allocation-free once the
+    /// scratch buffers are warm. `x` is `rows × inputs` row-major; the
+    /// returned `rows × outputs` logits live in `scratch` until the
+    /// next call.
     pub fn forward_into<'s>(
         &self,
         x: &[f32],
         rows: usize,
         scratch: &'s mut InferScratch,
     ) -> &'s [f32] {
+        assert_eq!(x.len(), rows * self.inputs(), "input shape mismatch");
         let InferScratch { a, b, .. } = scratch;
-        self.forward_into_bufs(x, rows, a, b)
+        fused_chain(x, self.steps(rows), a, b)
     }
 
-    /// [`Mlp::forward_into`] over explicit ping-pong buffers, so callers
-    /// holding a destructured [`InferScratch`] (e.g. to keep `x` staged)
-    /// can chain through the same allocation.
-    pub(crate) fn forward_into_bufs<'s>(
-        &self,
-        x: &[f32],
-        rows: usize,
-        a: &'s mut Vec<f32>,
-        b: &'s mut Vec<f32>,
-    ) -> &'s [f32] {
-        assert_eq!(x.len(), rows * self.inputs(), "input shape mismatch");
+    /// This MLP as [`fused_chain`] steps over `rows` input rows.
+    pub(crate) fn steps(&self, rows: usize) -> impl Iterator<Item = (&Dense, usize, bool)> {
         let n = self.layers.len();
-        let l0 = &self.layers[0];
-        dense_fused(
-            x,
-            rows,
-            l0.inputs(),
-            l0.w.data(),
-            l0.outputs(),
-            &l0.b,
-            n > 1,
-            a,
-        );
-        let (mut cur, mut nxt) = (a, b);
-        for (i, l) in self.layers.iter().enumerate().skip(1) {
-            dense_fused(
-                cur,
-                rows,
-                l.inputs(),
-                l.w.data(),
-                l.outputs(),
-                &l.b,
-                i + 1 < n,
-                nxt,
-            );
-            std::mem::swap(&mut cur, &mut nxt);
-        }
-        cur
+        self.layers
+            .iter()
+            .enumerate()
+            .map(move |(i, l)| (l, rows, i + 1 < n))
     }
 
     /// Backward pass from dL/dy; returns dL/dx.
@@ -241,16 +194,24 @@ impl Mlp {
         let n = self.layers.len();
         let mut g = self.layers[n - 1].backward(grad);
         for i in (0..n - 1).rev() {
-            g = self.relus[i].backward(g);
+            // ReLU backward: layer `i + 1` cached the post-ReLU output,
+            // which is positive exactly where the pre-activation was.
+            let act = self.layers[i + 1]
+                .input
+                .as_ref()
+                .expect("backward before forward");
+            for (gv, &a) in g.data_mut().iter_mut().zip(act.data()) {
+                *gv = if a > 0.0 { *gv } else { 0.0 };
+            }
             g = self.layers[i].backward(&g);
         }
         g
     }
 
     /// Apply accumulated gradients.
-    pub fn apply(&mut self, opt: &mut Adam, slot: &mut usize, lr: f32) {
+    pub fn apply(&mut self, opt: &mut Adam, slot: &mut usize) {
         for l in &mut self.layers {
-            l.apply(opt, slot, lr);
+            l.apply(opt, slot);
         }
     }
 
@@ -281,11 +242,28 @@ impl Mlp {
                 "layer widths do not chain"
             );
         }
-        let relus = (0..layers.len().saturating_sub(1))
-            .map(|_| Relu::default())
-            .collect();
-        Mlp { layers, relus }
+        Mlp { layers }
     }
+}
+
+/// One fused layer chain: each step is `(layer, rows, relu)`; the first
+/// reads `x`, every later one reads the previous step's output, and the
+/// activations ping-pong between `a` and `b`. Returns the last output.
+pub(crate) fn fused_chain<'s, 'l>(
+    x: &[f32],
+    steps: impl IntoIterator<Item = (&'l Dense, usize, bool)>,
+    a: &'s mut Vec<f32>,
+    b: &'s mut Vec<f32>,
+) -> &'s [f32] {
+    let mut steps = steps.into_iter();
+    let (l0, rows0, relu0) = steps.next().expect("at least one layer");
+    l0.fused(x, rows0, relu0, a);
+    let (mut cur, mut nxt) = (a, b);
+    for (l, rows, relu) in steps {
+        l.fused(cur, rows, relu, nxt);
+        std::mem::swap(&mut cur, &mut nxt);
+    }
+    cur
 }
 
 #[cfg(test)]
@@ -313,13 +291,64 @@ mod tests {
     }
 
     #[test]
-    fn relu_masks_negatives_in_backward() {
-        let mut relu = Relu::default();
-        let x = Matrix::from_vec(1, 4, vec![-1.0, 2.0, -3.0, 4.0]);
-        let y = relu.forward(x);
-        assert_eq!(y.data(), &[0.0, 2.0, 0.0, 4.0]);
-        let g = relu.backward(Matrix::from_vec(1, 4, vec![1.0; 4]));
-        assert_eq!(g.data(), &[0.0, 1.0, 0.0, 1.0]);
+    fn mlp_gradients_match_finite_differences_through_relu() {
+        // Three layers, so the gradient crosses two ReLU masks taken
+        // from the cached activations. Loss = sum(c ⊙ y), dL/dy = c.
+        let mut r = rng();
+        let mut mlp = Mlp::new(&[3, 6, 5, 2], &mut r);
+        let x = Matrix::from_vec(
+            4,
+            3,
+            vec![
+                0.5, -1.0, 2.0, 0.3, -0.7, 1.1, -1.5, 0.2, -0.4, 1.2, 0.9, -2.0,
+            ],
+        );
+        let c = Matrix::from_vec(4, 2, vec![1.0, -0.5, 0.3, 2.0, -1.2, 0.7, 0.4, -0.9]);
+        let loss = |mlp: &mut Mlp, x: &Matrix| -> f64 {
+            let y = mlp.forward(x);
+            y.data()
+                .iter()
+                .zip(c.data())
+                .map(|(&y, &c)| f64::from(y * c))
+                .sum()
+        };
+        let _ = loss(&mut mlp, &x);
+        // Both hidden layers see pre-activations of both signs, so the
+        // masks are neither all-pass nor all-block.
+        for l in &mlp.layers[1..] {
+            let act = l.input.as_ref().expect("cached").data();
+            assert!(act.iter().any(|&a| a > 0.0) && act.contains(&0.0));
+        }
+        let grad_x = mlp.backward(&c);
+        let eps = 1e-3;
+        let grad_w0 = mlp.layers[0].grad_w.clone();
+        for k in 0..3 * 6 {
+            let (row, col) = (k / 6, k % 6);
+            let old = mlp.layers[0].w.get(row, col);
+            mlp.layers[0].w.set(row, col, old + eps);
+            let up = loss(&mut mlp, &x);
+            mlp.layers[0].w.set(row, col, old - eps);
+            let down = loss(&mut mlp, &x);
+            mlp.layers[0].w.set(row, col, old);
+            let numeric = (up - down) / (2.0 * f64::from(eps));
+            let analytic = f64::from(grad_w0.get(row, col));
+            assert!(
+                (analytic - numeric).abs() < 1e-2,
+                "w0[{row}][{col}]: analytic {analytic} numeric {numeric}"
+            );
+        }
+        for k in 0..x.data().len() {
+            let mut xp = x.clone();
+            xp.data_mut()[k] += eps;
+            let mut xm = x.clone();
+            xm.data_mut()[k] -= eps;
+            let numeric = (loss(&mut mlp, &xp) - loss(&mut mlp, &xm)) / (2.0 * f64::from(eps));
+            let analytic = f64::from(grad_x.data()[k]);
+            assert!(
+                (analytic - numeric).abs() < 1e-2,
+                "x[{k}]: analytic {analytic} numeric {numeric}"
+            );
+        }
     }
 
     #[test]
@@ -368,7 +397,7 @@ mod tests {
             let (_, grad) = crate::loss::softmax_cross_entropy(&logits, &labels, &[1.0, 1.0]);
             mlp.backward(&grad);
             let mut slot = 0;
-            mlp.apply(&mut opt, &mut slot, 0.01);
+            mlp.apply(&mut opt, &mut slot);
         }
         let logits = mlp.forward(&xm);
         let correct = (0..n)

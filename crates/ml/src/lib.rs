@@ -12,9 +12,11 @@
 //!
 //! - [`anomaly`] — deterministic isolation forest for unsupervised
 //!   novel-fault detection over pipeline window vectors.
-//! - [`matrix`] — row-major matrix ops (rayon-parallel matmul rows).
-//! - [`layers`] — dense layers / ReLU / MLP with manual backprop.
-//! - [`infer`] — immutable, fused, allocation-free serving forward pass.
+//! - [`matrix`] — row-major matrix storage and the backward-pass
+//!   products.
+//! - [`layers`] — dense layers / MLP with manual backprop.
+//! - [`infer`] — the fused dense forward kernel that training and
+//!   serving share, plus the allocation-free serving scratch.
 //! - [`loss`] — weighted softmax cross-entropy.
 //! - [`optim`] — Adam and SGD.
 //! - [`model`] — the kernel-based network.

@@ -1,16 +1,8 @@
 //! A minimal row-major `f32` matrix with exactly the operations the
-//! network needs.
-//!
-//! `matmul` is cache-blocked with a packed-B inner kernel and splits
-//! output row-blocks across the rayon pool for large products. Every
-//! code path — small, blocked, blocked-parallel, and the sparse
-//! zero-skip path's dense twin — accumulates each output element in
-//! ascending-`k` order into a single accumulator, so results are
-//! **bit-identical** across paths and thread counts (f32 addition is
-//! deterministic for a fixed order; only the order could differ, and it
-//! never does).
-
-use rayon::prelude::*;
+//! network needs: storage plus the backward-pass products. Dense-layer
+//! forwards run the fused kernels in [`crate::infer`]; `matmul` is the
+//! plain single-threaded loop that attention's small per-sample
+//! products use.
 
 /// Row-major matrix of `f32`.
 #[derive(Clone, Debug, PartialEq)]
@@ -18,59 +10,6 @@ pub struct Matrix {
     rows: usize,
     cols: usize,
     data: Vec<f32>,
-}
-
-/// Work (`m·k·n` multiply-adds) below which matmul runs the plain
-/// unblocked loop — for the tiny per-window inference products, packing
-/// overhead would dominate.
-const BLOCK_MIN_WORK: usize = 1 << 16;
-
-/// Work at or above which output row-blocks are split across the rayon
-/// pool. Re-tuned from the old row-count threshold (256 rows): with real
-/// workers the crossover is ~1M multiply-adds (≈0.5 ms of arithmetic),
-/// comfortably above the scoped-helper spawn cost.
-const PAR_MIN_WORK: usize = 1 << 20;
-
-/// Sampled zero fraction of the left matrix at or above which the
-/// zero-skip kernel runs instead of the dense blocked one. Dense
-/// activations never reach it, so the hot path carries no per-element
-/// branch.
-const SPARSE_SKIP_FRACTION: f32 = 0.75;
-
-/// Columns per packed B panel (width of the contiguous inner axpy).
-const PANEL_NC: usize = 128;
-
-/// Depth (k) block: rows of a B panel streamed per pass over a row
-/// block, sized so `PANEL_NC × PANEL_KC` floats stay L2-resident.
-const PANEL_KC: usize = 128;
-
-/// `B` repacked panel-major: panel `p` holds columns
-/// `[p·PANEL_NC, …)` with each of its `k` rows contiguous, so the inner
-/// kernel streams cache-line-aligned runs instead of striding across
-/// the full row width of `B`.
-struct PackedB {
-    n: usize,
-    /// Start of each panel in `data`.
-    offsets: Vec<usize>,
-    data: Vec<f32>,
-}
-
-impl PackedB {
-    fn pack(b: &Matrix) -> PackedB {
-        let (k, n) = (b.rows, b.cols);
-        let mut data = Vec::with_capacity(k * n);
-        let mut offsets = Vec::new();
-        let mut c0 = 0;
-        while c0 < n {
-            let w = PANEL_NC.min(n - c0);
-            offsets.push(data.len());
-            for kk in 0..k {
-                data.extend_from_slice(&b.data[kk * n + c0..kk * n + c0 + w]);
-            }
-            c0 += w;
-        }
-        PackedB { n, offsets, data }
-    }
 }
 
 impl Matrix {
@@ -140,136 +79,21 @@ impl Matrix {
         out
     }
 
-    /// `self · other` (standard matrix product).
-    ///
-    /// Dispatches on product size and left-matrix sparsity; all paths
-    /// produce bit-identical results (ascending-`k` accumulation
-    /// everywhere).
+    /// `self · other` (standard matrix product), each output element
+    /// accumulated in ascending-`k` order.
     pub fn matmul(&self, other: &Matrix) -> Matrix {
         assert_eq!(self.cols, other.rows, "matmul shape mismatch");
-        let (m, k, n) = (self.rows, self.cols, other.cols);
-        let mut out = Matrix::zeros(m, n);
-        if m == 0 || k == 0 || n == 0 {
-            return out;
-        }
-        let work = m * k * n;
-        if work < BLOCK_MIN_WORK {
-            self.matmul_rows_simple(other, 0, &mut out.data);
-            return out;
-        }
-        let sparse = self.sampled_zero_fraction() >= SPARSE_SKIP_FRACTION;
-        let threads = rayon::current_num_threads();
-        if work >= PAR_MIN_WORK && threads > 1 && m > 1 {
-            let rows_per_job = m.div_ceil(threads * 4).max(1);
-            let packed = (!sparse).then(|| PackedB::pack(other));
-            out.data
-                .par_chunks_mut(rows_per_job * n)
-                .enumerate()
-                .for_each(|(j, block)| {
-                    let r0 = j * rows_per_job;
-                    match &packed {
-                        Some(p) => self.matmul_rows_blocked(p, r0, block),
-                        None => self.matmul_rows_skip(other, r0, block),
-                    }
-                });
-        } else if sparse {
-            self.matmul_rows_skip(other, 0, &mut out.data);
-        } else {
-            let packed = PackedB::pack(other);
-            self.matmul_rows_blocked(&packed, 0, &mut out.data);
+        let n = other.cols;
+        let mut out = Matrix::zeros(self.rows, n);
+        for r in 0..self.rows {
+            let out_row = &mut out.data[r * n..(r + 1) * n];
+            for (kk, &a) in self.row(r).iter().enumerate() {
+                for (o, &b) in out_row.iter_mut().zip(other.row(kk)) {
+                    *o += a * b;
+                }
+            }
         }
         out
-    }
-
-    /// Fraction of zeros in a ≤256-element sample of `self`. Sample
-    /// positions come from a multiplicative hash, not a regular stride,
-    /// so structured sparsity patterns (every k-th element) can't alias
-    /// with the probe. Deterministic in the matrix length alone.
-    fn sampled_zero_fraction(&self) -> f32 {
-        let len = self.data.len();
-        if len == 0 {
-            return 0.0;
-        }
-        let samples = len.min(256);
-        let zeros = (0..samples as u64)
-            .filter(|&i| {
-                let pos = (i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 16) as usize % len;
-                self.data[pos] == 0.0
-            })
-            .count();
-        zeros as f32 / samples as f32
-    }
-
-    /// Plain row-major axpy kernel (no packing, no skip) for the rows
-    /// starting at `r0` whose output occupies `out_block`.
-    fn matmul_rows_simple(&self, other: &Matrix, r0: usize, out_block: &mut [f32]) {
-        let n = other.cols;
-        let rows = out_block.len() / n;
-        for r in 0..rows {
-            let a_row = self.row(r0 + r);
-            let out_row = &mut out_block[r * n..(r + 1) * n];
-            for (kk, &a) in a_row.iter().enumerate() {
-                let b_row = &other.data[kk * n..(kk + 1) * n];
-                for (o, &b) in out_row.iter_mut().zip(b_row) {
-                    *o += a * b;
-                }
-            }
-        }
-    }
-
-    /// Zero-skip axpy kernel for sparse left matrices (the branch only
-    /// pays for itself when most `a` elements are zero).
-    fn matmul_rows_skip(&self, other: &Matrix, r0: usize, out_block: &mut [f32]) {
-        let n = other.cols;
-        let rows = out_block.len() / n;
-        for r in 0..rows {
-            let a_row = self.row(r0 + r);
-            let out_row = &mut out_block[r * n..(r + 1) * n];
-            for (kk, &a) in a_row.iter().enumerate() {
-                if a == 0.0 {
-                    continue;
-                }
-                let b_row = &other.data[kk * n..(kk + 1) * n];
-                for (o, &b) in out_row.iter_mut().zip(b_row) {
-                    *o += a * b;
-                }
-            }
-        }
-    }
-
-    /// Cache-blocked kernel over a packed `B`: for each column panel,
-    /// stream `PANEL_KC`-deep slabs of the panel across the row block.
-    /// Per output element the `k` loop still runs strictly ascending
-    /// (panel blocks ascending, `kk` within each ascending), so the
-    /// accumulation order — and therefore every bit of the result —
-    /// matches [`Matrix::matmul_rows_simple`].
-    fn matmul_rows_blocked(&self, packed: &PackedB, r0: usize, out_block: &mut [f32]) {
-        let k = self.cols;
-        let n = packed.n;
-        let rows = out_block.len() / n;
-        let mut c0 = 0;
-        let mut panel = 0;
-        while c0 < n {
-            let w = PANEL_NC.min(n - c0);
-            let poff = packed.offsets[panel];
-            let mut k0 = 0;
-            while k0 < k {
-                let k1 = (k0 + PANEL_KC).min(k);
-                for r in 0..rows {
-                    let a_row = &self.data[(r0 + r) * k..(r0 + r) * k + k];
-                    let out_row = &mut out_block[r * n + c0..r * n + c0 + w];
-                    for (kk, &a) in a_row.iter().enumerate().take(k1).skip(k0) {
-                        let b_row = &packed.data[poff + kk * w..poff + kk * w + w];
-                        for (o, &b) in out_row.iter_mut().zip(b_row) {
-                            *o += a * b;
-                        }
-                    }
-                }
-                k0 = k1;
-            }
-            c0 += w;
-            panel += 1;
-        }
     }
 
     /// `selfᵀ · other` without materialising the transpose.
@@ -319,19 +143,6 @@ impl Matrix {
             }
         }
         out
-    }
-
-    /// Add `v` to every row (broadcast bias).
-    pub fn add_row_vec(&mut self, v: &[f32]) {
-        assert_eq!(v.len(), self.cols);
-        for r in 0..self.rows {
-            for (x, &b) in self.data[r * self.cols..(r + 1) * self.cols]
-                .iter_mut()
-                .zip(v)
-            {
-                *x += b;
-            }
-        }
     }
 
     /// Column sums.
@@ -398,9 +209,8 @@ mod tests {
     }
 
     #[test]
-    fn bias_and_sums() {
-        let mut a = Matrix::zeros(2, 3);
-        a.add_row_vec(&[1.0, 2.0, 3.0]);
+    fn col_sums_and_scale() {
+        let mut a = m(2, 3, &[1.0, 2.0, 3.0, 1.0, 2.0, 3.0]);
         assert_eq!(a.col_sums(), vec![2.0, 4.0, 6.0]);
         a.scale(0.5);
         assert_eq!(a.get(1, 2), 1.5);
@@ -411,108 +221,6 @@ mod tests {
         let a = m(3, 2, &[1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
         let g = a.gather_rows(&[2, 0]);
         assert_eq!(g.data(), &[5.0, 6.0, 1.0, 2.0]);
-    }
-
-    /// Reference product: the textbook triple loop with ascending-`k`
-    /// accumulation — the order every optimised path must reproduce
-    /// bit-for-bit.
-    fn matmul_reference(a: &Matrix, b: &Matrix) -> Matrix {
-        assert_eq!(a.cols, b.rows);
-        let mut out = Matrix::zeros(a.rows, b.cols);
-        for r in 0..a.rows {
-            for c in 0..b.cols {
-                let mut acc = 0.0f32;
-                for kk in 0..a.cols {
-                    acc += a.get(r, kk) * b.get(kk, c);
-                }
-                out.set(r, c, acc);
-            }
-        }
-        out
-    }
-
-    fn filled(rows: usize, cols: usize, salt: u64) -> Matrix {
-        Matrix::from_vec(
-            rows,
-            cols,
-            (0..rows * cols)
-                .map(|i| {
-                    let h = (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ salt;
-                    ((h >> 40) as f32 / 1024.0) - 8.0
-                })
-                .collect(),
-        )
-    }
-
-    #[test]
-    fn naive_blocked_and_parallel_are_bit_identical() {
-        // Shapes chosen to land in each dispatch tier:
-        //   8×8·8       → simple loop (work < BLOCK_MIN_WORK)
-        //   80×90·70    → blocked serial (>= BLOCK_MIN_WORK)
-        //   150×160·170 → blocked + row-parallel under a 4-thread pool
-        // with ragged sizes so partial panels and ragged row-blocks are
-        // exercised too.
-        for (m, k, n) in [(8, 8, 8), (80, 90, 70), (150, 160, 170), (257, 129, 131)] {
-            let a = filled(m, k, 1);
-            let b = filled(k, n, 2);
-            let reference = matmul_reference(&a, &b);
-            let serial = rayon::ThreadPoolBuilder::new()
-                .num_threads(1)
-                .build()
-                .unwrap()
-                .install(|| a.matmul(&b));
-            let parallel = rayon::ThreadPoolBuilder::new()
-                .num_threads(4)
-                .build()
-                .unwrap()
-                .install(|| a.matmul(&b));
-            assert_eq!(
-                serial.data(),
-                reference.data(),
-                "serial diverged at {m}x{k}x{n}"
-            );
-            assert_eq!(
-                parallel.data(),
-                reference.data(),
-                "parallel diverged at {m}x{k}x{n}"
-            );
-        }
-    }
-
-    #[test]
-    fn sparse_skip_path_matches_reference() {
-        // ~94% zeros → the probe selects the zero-skip kernel; results
-        // must still match the dense reference exactly.
-        // Work >= PAR_MIN_WORK so the 4-thread run takes the parallel
-        // zero-skip path; the plain call takes the serial one.
-        let (m, k, n) = (160, 128, 128);
-        let mut a = filled(m, k, 3);
-        for (i, v) in a.data_mut().iter_mut().enumerate() {
-            if i % 16 != 0 {
-                *v = 0.0;
-            }
-        }
-        assert!(a.sampled_zero_fraction() >= SPARSE_SKIP_FRACTION);
-        let b = filled(k, n, 4);
-        let reference = matmul_reference(&a, &b);
-        let serial = rayon::ThreadPoolBuilder::new()
-            .num_threads(1)
-            .build()
-            .unwrap()
-            .install(|| a.matmul(&b));
-        let parallel = rayon::ThreadPoolBuilder::new()
-            .num_threads(4)
-            .build()
-            .unwrap()
-            .install(|| a.matmul(&b));
-        assert_eq!(serial.data(), reference.data());
-        assert_eq!(parallel.data(), reference.data());
-    }
-
-    #[test]
-    fn dense_probe_stays_on_dense_path() {
-        let a = filled(64, 64, 5);
-        assert!(a.sampled_zero_fraction() < SPARSE_SKIP_FRACTION);
     }
 
     #[test]

@@ -9,8 +9,9 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::infer::{dense_fused, InferScratch};
-use crate::layers::Mlp;
+use crate::data::Standardizer;
+use crate::infer::{standardize_into, InferScratch};
+use crate::layers::{fused_chain, Mlp};
 use crate::matrix::Matrix;
 use crate::optim::Adam;
 
@@ -91,7 +92,7 @@ impl KernelNet {
         self.head.forward(&h_in)
     }
 
-    /// Immutable inference forward, bit-identical to
+    /// Immutable inference forward: the same fused kernels as
     /// [`KernelNet::forward`] but `&self` and allocation-free once the
     /// scratch is warm. `x` is `(batch * n_servers) × n_features`
     /// row-major; the returned `batch × n_classes` logits live in
@@ -111,7 +112,7 @@ impl KernelNet {
     /// head's `batch × S` input (both row-major), so the whole network
     /// runs as one fused layer chain across two buffers with no
     /// reshape copy.
-    pub(crate) fn forward_into_bufs<'s>(
+    fn forward_into_bufs<'s>(
         &self,
         x: &[f32],
         rows: usize,
@@ -121,49 +122,22 @@ impl KernelNet {
         assert_eq!(rows % self.n_servers, 0, "rows not a multiple of n_servers");
         assert_eq!(x.len(), rows * self.n_features(), "input shape mismatch");
         let batch = rows / self.n_servers;
-        let kl = self.kernel.layers();
-        let nk = kl.len();
-        let l0 = &kl[0];
-        dense_fused(
-            x,
-            rows,
-            l0.inputs(),
-            l0.weights().data(),
-            l0.outputs(),
-            l0.bias(),
-            nk > 1,
-            a,
-        );
-        let (mut cur, mut nxt) = (a, b);
-        for (i, l) in kl.iter().enumerate().skip(1) {
-            dense_fused(
-                cur,
-                rows,
-                l.inputs(),
-                l.weights().data(),
-                l.outputs(),
-                l.bias(),
-                i + 1 < nk,
-                nxt,
-            );
-            std::mem::swap(&mut cur, &mut nxt);
-        }
-        let hl = self.head.layers();
-        let nh = hl.len();
-        for (i, l) in hl.iter().enumerate() {
-            dense_fused(
-                cur,
-                batch,
-                l.inputs(),
-                l.weights().data(),
-                l.outputs(),
-                l.bias(),
-                i + 1 < nh,
-                nxt,
-            );
-            std::mem::swap(&mut cur, &mut nxt);
-        }
-        cur
+        let steps = self.kernel.steps(rows).chain(self.head.steps(batch));
+        fused_chain(x, steps, a, b)
+    }
+
+    /// Standardise raw `(batch * n_servers) × n_features` rows with `st`
+    /// into the scratch staging buffer, then run the fused forward.
+    pub(crate) fn forward_standardized<'s>(
+        &self,
+        st: &Standardizer,
+        raw: &[f32],
+        rows: usize,
+        scratch: &'s mut InferScratch,
+    ) -> &'s [f32] {
+        let InferScratch { x, a, b } = scratch;
+        standardize_into(raw, self.n_features(), st.mean(), st.std(), x);
+        self.forward_into_bufs(x, rows, a, b)
     }
 
     /// Backward from dL/dlogits; accumulates gradients in both MLPs.
@@ -178,9 +152,8 @@ impl KernelNet {
     pub fn apply(&mut self, opt: &mut Adam) {
         opt.tick();
         let mut slot = 0;
-        let lr = opt.lr();
-        self.kernel.apply(opt, &mut slot, lr);
-        self.head.apply(opt, &mut slot, lr);
+        self.kernel.apply(opt, &mut slot);
+        self.head.apply(opt, &mut slot);
     }
 
     /// The shared kernel MLP.
@@ -206,10 +179,11 @@ impl KernelNet {
 
     /// Per-server kernel scores for one sample (interpretability helper:
     /// which server the model considers "hot").
-    pub fn server_scores(&mut self, sample: &Matrix) -> Vec<f32> {
+    pub fn server_scores(&self, sample: &Matrix) -> Vec<f32> {
         assert_eq!(sample.rows(), self.n_servers);
-        let k = self.kernel.forward(sample);
-        k.data().to_vec()
+        self.kernel
+            .forward_into(sample.data(), sample.rows(), &mut InferScratch::new())
+            .to_vec()
     }
 }
 
@@ -242,7 +216,7 @@ mod tests {
         // Permuting which server carries the signal must keep the kernel
         // outputs a permutation of each other (head inputs differ only in
         // order).
-        let mut net = KernelNet::new(4, 2, &[6], &[6], 2, 3);
+        let net = KernelNet::new(4, 2, &[6], &[6], 2, 3);
         let hot = [5.0f32, -2.0, 1.0, 0.5];
         let cold = [0.0f32; 4];
         let mut a = Vec::new();

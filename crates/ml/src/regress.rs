@@ -12,6 +12,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::data::{Dataset, Standardizer};
+use crate::infer::InferScratch;
 use crate::matrix::Matrix;
 use crate::model::KernelNet;
 use crate::optim::Adam;
@@ -42,12 +43,17 @@ pub struct RegressionModel {
 
 impl RegressionModel {
     /// Predict the degradation level (≥ ~0) for every sample of `data`.
-    pub fn predict_levels(&mut self, data: &Dataset) -> Vec<f64> {
-        let mut x = data.x.clone();
-        self.standardizer.transform(&mut x);
-        let out = self.net.forward(&x);
-        (0..out.rows())
-            .map(|r| (out.get(r, 0) as f64).exp())
+    pub fn predict_levels(&self, data: &Dataset) -> Vec<f64> {
+        let mut scratch = InferScratch::new();
+        self.net
+            .forward_standardized(
+                &self.standardizer,
+                data.x.data(),
+                data.x.rows(),
+                &mut scratch,
+            )
+            .iter()
+            .map(|&v| (v as f64).exp())
             .collect()
     }
 }
@@ -154,7 +160,7 @@ mod tests {
             lr: 3e-3,
             ..TrainConfig::default()
         };
-        let mut model = train_regression(&data, &levels, &cfg);
+        let model = train_regression(&data, &levels, &cfg);
         let preds = model.predict_levels(&data);
         let mae: f64 = preds
             .iter()
@@ -177,7 +183,7 @@ mod tests {
             lr: 3e-3,
             ..TrainConfig::default()
         };
-        let mut model = train_regression(&data, &levels, &cfg);
+        let model = train_regression(&data, &levels, &cfg);
         let preds = model.predict_levels(&data);
         let correct = preds
             .iter()

@@ -82,7 +82,7 @@ fn floats_to_hex(v: &[f32]) -> String {
 }
 
 /// FNV-1a 64-bit over the serialized body (all lines above `check`).
-fn fnv1a(s: &str) -> u64 {
+pub(crate) fn fnv1a(s: &str) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for b in s.bytes() {
         h ^= b as u64;
@@ -419,9 +419,9 @@ mod tests {
 
     #[test]
     fn round_trip_is_bit_identical() {
-        let (mut model, data) = trained();
+        let (model, data) = trained();
         let text = model_to_text(&model);
-        let mut back = model_from_text(&text).expect("parse");
+        let back = model_from_text(&text).expect("parse");
         assert_eq!(model.predict(&data), back.predict(&data));
         // Serialising again yields the same text.
         assert_eq!(model_to_text(&back), text);
@@ -429,10 +429,10 @@ mod tests {
 
     #[test]
     fn save_load_files() {
-        let (mut model, data) = trained();
+        let (model, data) = trained();
         let path = std::env::temp_dir().join("qi_model_test/model.qim");
         save_model(&model, &path).expect("save");
-        let mut back = load_model(&path).expect("load");
+        let back = load_model(&path).expect("load");
         assert_eq!(model.predict(&data), back.predict(&data));
         let _ = std::fs::remove_dir_all(path.parent().unwrap());
     }

@@ -8,7 +8,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::data::{Dataset, Standardizer};
-use crate::infer::{argmax_row, standardize_into, InferScratch};
+use crate::infer::{argmax_row, InferScratch};
 use crate::loss::{softmax_cross_entropy, tempered_frequency_weights};
 use crate::matrix::Matrix;
 use crate::metrics::ConfusionMatrix;
@@ -181,35 +181,26 @@ impl TrainedModel {
 
     /// Predict class labels for `k` raw sample blocks stacked into one
     /// `(k * n_servers) × n_features` matrix — the serving layer's
-    /// micro-batch forward pass. A batch of `k` produces one network
-    /// invocation instead of `k`, and because every kernel accumulates
-    /// in a fixed order the results are bit-identical to `k` calls of
-    /// [`TrainedModel::predict_one`] at any thread count.
-    pub fn predict_batch(&mut self, stacked: &Matrix) -> Vec<usize> {
-        let mut x = stacked.clone();
-        self.standardizer.transform(&mut x);
-        let logits = self.net.forward(&x);
-        (0..logits.rows())
-            .map(|r| {
-                let row = logits.row(r);
-                row.iter()
-                    .enumerate()
-                    .max_by(|a, b| a.1.partial_cmp(b.1).expect("finite logits"))
-                    .map(|(i, _)| i)
-                    .expect("non-empty row")
-            })
-            .collect()
+    /// micro-batch forward pass. Every row is computed independently in
+    /// a fixed order, so the results are bit-identical to `k` calls of
+    /// [`TrainedModel::predict_one`].
+    pub fn predict_batch(&self, stacked: &Matrix) -> Vec<usize> {
+        assert_eq!(stacked.cols(), self.n_features(), "feature width mismatch");
+        let mut out = Vec::new();
+        self.predict_batch_into(
+            stacked.data(),
+            stacked.rows() / self.n_servers(),
+            &mut InferScratch::new(),
+            &mut out,
+        );
+        out
     }
 
-    /// The serving-path twin of [`TrainedModel::predict_batch`]:
-    /// `&self`, zero allocation once `scratch` is warm, and fused
-    /// through the width-specialised kernels in [`crate::infer`].
-    /// `stacked` is the same `(k * n_servers) × n_features` row-major
-    /// block, `samples` is `k`; predicted classes are appended to `out`
-    /// (cleared first). Outputs are bit-identical to
-    /// [`TrainedModel::predict_batch`] — same standardisation
-    /// arithmetic, same ascending-`k` accumulation order, same
-    /// last-max-wins argmax.
+    /// The allocation-free form of [`TrainedModel::predict_batch`] that
+    /// serving runs: zero allocation once `scratch` is warm. `stacked`
+    /// is the same `(k * n_servers) × n_features` row-major block,
+    /// `samples` is `k`; predicted classes (last maximum wins on ties)
+    /// are appended to `out` (cleared first).
     pub fn predict_batch_into(
         &self,
         stacked: &[f32],
@@ -220,54 +211,25 @@ impl TrainedModel {
         let rows = samples * self.net.n_servers();
         let feats = self.net.n_features();
         assert_eq!(stacked.len(), rows * feats, "stacked block shape mismatch");
-        let InferScratch { x, a, b } = scratch;
-        standardize_into(
-            stacked,
-            feats,
-            self.standardizer.mean(),
-            self.standardizer.std(),
-            x,
-        );
-        let logits = self.net.forward_into_bufs(x, rows, a, b);
+        let logits = self
+            .net
+            .forward_standardized(&self.standardizer, stacked, rows, scratch);
         out.clear();
-        out.reserve(samples);
-        for row in logits.chunks_exact(self.net.n_classes()) {
-            out.push(argmax_row(row));
-        }
+        out.extend(logits.chunks_exact(self.net.n_classes()).map(argmax_row));
     }
 
     /// Predict class labels for every sample of `data`.
-    pub fn predict(&mut self, data: &Dataset) -> Vec<usize> {
-        let mut x = data.x.clone();
-        self.standardizer.transform(&mut x);
-        let logits = self.net.forward(&x);
-        (0..logits.rows())
-            .map(|r| {
-                let row = logits.row(r);
-                row.iter()
-                    .enumerate()
-                    .max_by(|a, b| a.1.partial_cmp(b.1).expect("finite logits"))
-                    .map(|(i, _)| i)
-                    .expect("non-empty row")
-            })
-            .collect()
+    pub fn predict(&self, data: &Dataset) -> Vec<usize> {
+        self.predict_batch(&data.x)
     }
 
     /// Predict one raw sample (an `n_servers × n_features` block).
-    pub fn predict_one(&mut self, block: &Matrix) -> usize {
-        let mut x = block.clone();
-        self.standardizer.transform(&mut x);
-        let logits = self.net.forward(&x);
-        let row = logits.row(0);
-        row.iter()
-            .enumerate()
-            .max_by(|a, b| a.1.partial_cmp(b.1).expect("finite logits"))
-            .map(|(i, _)| i)
-            .expect("non-empty row")
+    pub fn predict_one(&self, block: &Matrix) -> usize {
+        self.predict_batch(block)[0]
     }
 
     /// Evaluate on a labelled dataset, producing the confusion matrix.
-    pub fn evaluate(&mut self, data: &Dataset) -> ConfusionMatrix {
+    pub fn evaluate(&self, data: &Dataset) -> ConfusionMatrix {
         let preds = self.predict(data);
         let mut cm = ConfusionMatrix::new(self.n_classes());
         for (&actual, pred) in data.y.iter().zip(preds) {
@@ -480,7 +442,7 @@ mod tests {
             epochs: 25,
             ..TrainConfig::default()
         };
-        let mut model = train(&train_set, &cfg);
+        let model = train(&train_set, &cfg);
         let cm = model.evaluate(&test_set);
         assert!(
             cm.f1_positive() > 0.9,
@@ -510,10 +472,25 @@ mod tests {
             epochs: 5,
             ..TrainConfig::default()
         };
-        let mut m1 = train(&data, &cfg);
-        let mut m2 = train(&data, &cfg);
+        let m1 = train(&data, &cfg);
+        let m2 = train(&data, &cfg);
         assert_eq!(m1.predict(&data), m2.predict(&data));
         assert_eq!(m1.loss_curve, m2.loss_curve);
+    }
+
+    #[test]
+    fn trained_weights_are_pinned() {
+        // FNV-1a of the serialized model, recorded before the training
+        // forward was routed through the fused kernels: any change to
+        // the forward, backward or optimizer arithmetic moves it.
+        let data = synth(200, 3, 7);
+        let cfg = TrainConfig {
+            epochs: 6,
+            ..TrainConfig::default()
+        };
+        let model = train(&data, &cfg);
+        let text = crate::serialize::model_to_text(&model);
+        assert_eq!(crate::serialize::fnv1a(&text), 0xa665_c698_8499_0f45);
     }
 
     #[test]
@@ -523,7 +500,7 @@ mod tests {
             epochs: 5,
             ..TrainConfig::default()
         };
-        let mut model = train(&data, &cfg);
+        let model = train(&data, &cfg);
         let batch = model.predict(&data);
         for i in [0, 13, 57] {
             assert_eq!(model.predict_one(&data.sample_rows(i)), batch[i]);
@@ -537,7 +514,7 @@ mod tests {
             epochs: 5,
             ..TrainConfig::default()
         };
-        let mut model = train(&data, &cfg);
+        let model = train(&data, &cfg);
         assert_eq!(
             model.shape(),
             ModelShape {
@@ -562,6 +539,27 @@ mod tests {
     }
 
     #[test]
+    fn overflowing_block_still_yields_a_class() {
+        // `±f32::MAX` standardises to ±inf; on this model the `+MAX`
+        // block drives both logits to NaN. Serving must still answer
+        // with a class, not panic.
+        let data = synth(60, 3, 2);
+        let cfg = TrainConfig {
+            epochs: 2,
+            seed: 2,
+            ..TrainConfig::default()
+        };
+        let model = train(&data, &cfg);
+        let mut scratch = InferScratch::new();
+        let mut out = Vec::new();
+        for v in [-f32::MAX, f32::MAX] {
+            model.predict_batch_into(&[v; 3 * 6], 1, &mut scratch, &mut out);
+            assert_eq!(out.len(), 1);
+            assert!(out[0] < model.n_classes());
+        }
+    }
+
+    #[test]
     fn early_stopping_halts_and_keeps_best_weights() {
         // Small, noisy dataset: validation loss stalls quickly. The
         // seed is chosen so training converges before the val split
@@ -577,7 +575,7 @@ mod tests {
             }),
             ..TrainConfig::default()
         };
-        let mut model = train(&data, &cfg);
+        let model = train(&data, &cfg);
         // Stopped well before the epoch budget.
         assert!(
             model.loss_curve.len() < 400,
@@ -649,7 +647,7 @@ mod tests {
             lr: 3e-3,
             ..TrainConfig::default()
         };
-        let mut model = train(&tr, &cfg);
+        let model = train(&tr, &cfg);
         let cm = model.evaluate(&te);
         assert!(cm.accuracy() > 0.9, "acc {:.3}", cm.accuracy());
         assert_eq!(cm.n_classes(), 3);

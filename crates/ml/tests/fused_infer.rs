@@ -1,9 +1,9 @@
-//! Property suite for the fused immutable inference path: on ANY valid
-//! architecture and finite parameters, the fused width-specialised
-//! kernels in `qi_ml::infer` must match the naive
-//! `matmul` → `add_row_vec` → `Relu` composition **bit for bit** — not
-//! approximately. This is what lets the serving engine switch to the
-//! fused path without perturbing a single golden snapshot.
+//! Property suite for the fused dense forward. Training
+//! (`Mlp::forward`, `KernelNet::forward`) and serving (`forward_into`,
+//! `predict_batch_into`) all run the same kernels in `qi_ml::infer`;
+//! here, on ANY valid architecture and finite parameters, they must
+//! match a naive `matmul` → bias add → ReLU composition written
+//! out below **bit for bit** — not approximately.
 
 use proptest::prelude::*;
 use qi_ml::data::Standardizer;
@@ -85,18 +85,63 @@ fn bits(v: &[f32]) -> Vec<u32> {
     v.iter().map(|x| x.to_bits()).collect()
 }
 
+/// The textbook forward: ascending-`k` matmul, then the bias, then a
+/// ReLU clamp (`v > 0.0` keeps `v`, anything else becomes `+0.0`) on
+/// every layer but the last.
+fn naive_mlp(mlp: &Mlp, x: &Matrix) -> Matrix {
+    let n = mlp.layers().len();
+    let mut cur = x.clone();
+    for (i, l) in mlp.layers().iter().enumerate() {
+        cur = cur.matmul(l.weights());
+        for row in cur.data_mut().chunks_exact_mut(l.outputs()) {
+            for (v, &b) in row.iter_mut().zip(l.bias()) {
+                *v += b;
+            }
+        }
+        if i + 1 < n {
+            for v in cur.data_mut() {
+                *v = if *v > 0.0 { *v } else { 0.0 };
+            }
+        }
+    }
+    cur
+}
+
+/// Kernel MLP per server vector, reshape `(batch*S) × 1` → `batch × S`,
+/// then the head — all through [`naive_mlp`].
+fn naive_kernel_net(net: &KernelNet, x: &Matrix) -> Matrix {
+    let k = naive_mlp(net.kernel(), x);
+    let batch = x.rows() / net.n_servers();
+    naive_mlp(
+        net.head(),
+        &Matrix::from_vec(batch, net.n_servers(), k.data().to_vec()),
+    )
+}
+
+/// Argmax keeping the last maximum on ties.
+fn naive_argmax(row: &[f32]) -> usize {
+    let mut best = 0;
+    for (i, &v) in row.iter().enumerate() {
+        if v >= row[best] {
+            best = i;
+        }
+    }
+    best
+}
+
 proptest! {
-    /// `Mlp::forward_into` (fused, `&self`, scratch buffers) is
-    /// bit-identical to `Mlp::forward` (training path: per-layer
-    /// matmul + bias + ReLU allocations) for arbitrary widths — both
-    /// the specialised kernel widths and the dynamic fallback.
+    /// The training forward and the immutable `forward_into` both match
+    /// the naive composition for arbitrary widths — the specialised
+    /// kernel widths and the dynamic fallback alike.
     #[test]
-    fn mlp_forward_into_matches_training_forward_bitwise(
+    fn mlp_forwards_match_naive_reference_bitwise(
         case in arb_mlp_and_input(),
     ) {
         let (mlp, rows, x) = case;
-        let mut mutable = mlp.clone();
-        let reference = mutable.forward(&Matrix::from_vec(rows, mlp.inputs(), x.clone()));
+        let xm = Matrix::from_vec(rows, mlp.inputs(), x.clone());
+        let reference = naive_mlp(&mlp, &xm);
+        let trained = mlp.clone().forward(&xm);
+        prop_assert_eq!(bits(trained.data()), bits(reference.data()));
         let mut scratch = InferScratch::new();
         let fused = mlp.forward_into(&x, rows, &mut scratch);
         prop_assert_eq!(bits(fused), bits(reference.data()));
@@ -106,18 +151,20 @@ proptest! {
         prop_assert_eq!(bits(again), bits(reference.data()));
     }
 
-    /// `KernelNet::forward_into` — the full kernel→reshape→head chain
-    /// over one pair of scratch buffers — matches the mutable forward
-    /// bit for bit.
+    /// `KernelNet` — the full kernel→reshape→head chain, both the
+    /// training forward and `forward_into` over one pair of scratch
+    /// buffers — matches the naive composition bit for bit.
     #[test]
-    fn kernel_net_forward_into_matches_bitwise(
+    fn kernel_net_forwards_match_naive_reference_bitwise(
         case in arb_model(),
     ) {
         let (model, samples, x) = case;
         let net = model.net();
         let rows = samples * net.n_servers();
-        let mut mutable = net.clone();
-        let reference = mutable.forward(&Matrix::from_vec(rows, net.n_features(), x.clone()));
+        let xm = Matrix::from_vec(rows, net.n_features(), x.clone());
+        let reference = naive_kernel_net(net, &xm);
+        let trained = net.clone().forward(&xm);
+        prop_assert_eq!(bits(trained.data()), bits(reference.data()));
         let mut scratch = InferScratch::new();
         let fused = net.forward_into(&x, rows, &mut scratch);
         prop_assert_eq!(bits(fused), bits(reference.data()));
@@ -125,18 +172,23 @@ proptest! {
 
     /// The whole serving entry point: `predict_batch_into`
     /// (standardise into scratch → fused forward → argmax) returns the
-    /// same classes as the mutable `predict_batch`, ties included.
+    /// classes of `Standardizer::transform` → naive forward → last-max
+    /// argmax, ties included.
     #[test]
-    fn predict_batch_into_matches_predict_batch(
+    fn predict_batch_into_matches_naive_reference(
         case in arb_model(),
     ) {
-        let (mut model, samples, x) = case;
+        let (model, samples, x) = case;
         let rows = samples * model.n_servers();
-        let stacked = Matrix::from_vec(rows, model.n_features(), x.clone());
-        let reference = model.predict_batch(&stacked);
+        let mut xm = Matrix::from_vec(rows, model.n_features(), x.clone());
+        model.standardizer().transform(&mut xm);
+        let logits = naive_kernel_net(model.net(), &xm);
+        let reference: Vec<usize> = (0..logits.rows()).map(|r| naive_argmax(logits.row(r))).collect();
         let mut scratch = InferScratch::new();
         let mut out = Vec::new();
         model.predict_batch_into(&x, samples, &mut scratch, &mut out);
-        prop_assert_eq!(out, reference);
+        prop_assert_eq!(&out, &reference);
+        let stacked = Matrix::from_vec(rows, model.n_features(), x);
+        prop_assert_eq!(model.predict_batch(&stacked), reference);
     }
 }

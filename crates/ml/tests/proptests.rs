@@ -235,9 +235,8 @@ proptest! {
         model in arb_model(),
         seed in 0u64..1_000,
     ) {
-        let mut model = model;
         let text = model_to_text(&model);
-        let mut back = model_from_text(&text).expect("own output parses");
+        let back = model_from_text(&text).expect("own output parses");
         prop_assert_eq!(model_to_text(&back), text.clone());
         // Bit-identical predictions on a pseudo-random feature block.
         let shape = model.shape();

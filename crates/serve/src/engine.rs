@@ -320,7 +320,8 @@ fn active_of(registry: &ModelRegistry) -> Option<(u64, &TrainedModel)> {
 }
 
 /// The request check shared by both submission entry points: the block
-/// must hold the registry's `n_servers × n_features` floats.
+/// must hold the registry's `n_servers × n_features` floats, all
+/// finite (the monitor never emits NaN or ±inf features).
 fn check_block(registry: &ModelRegistry, req: &PredictRequest) -> Result<(), QiError> {
     let shape = registry.expected_shape();
     let expected = shape.n_servers * shape.n_features;
@@ -330,6 +331,12 @@ fn check_block(registry: &ModelRegistry, req: &PredictRequest) -> Result<(), QiE
             expected,
             got: req.block.len(),
         });
+    }
+    if let Some(i) = req.block.iter().position(|v| !v.is_finite()) {
+        return Err(QiError::Serve(format!(
+            "serve request block holds a non-finite value ({}) at float {i}",
+            req.block[i]
+        )));
     }
     Ok(())
 }

@@ -19,6 +19,7 @@ use qi_serve::{
     shard_of_tenant, ModelRegistry, OverloadPolicy, PredictRequest, Prediction, ServeConfig,
     ShardedServeEngine,
 };
+use qi_simkit::error::QiError;
 use qi_simkit::time::{SimDuration, SimTime};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -312,6 +313,20 @@ fn unknown_tenant_and_wrong_shape_are_rejected() {
     };
     let err = eng.submit(SimTime(0), bad_shape).expect_err("wrong shape");
     assert!(err.to_string().contains("serve request block"), "{err}");
+    // Non-finite features are refused with a typed error, never
+    // answered or panicked on.
+    for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+        let mut block = vec![0.5; SERVERS * FEATS];
+        block[SERVERS * FEATS - 1] = bad;
+        let req = PredictRequest {
+            tenant: AppId(1),
+            window: 0,
+            block,
+        };
+        let err = eng.submit(SimTime(0), req).expect_err("non-finite block");
+        assert!(matches!(err, QiError::Serve(_)), "{err}");
+        assert!(err.to_string().contains("non-finite"), "{err}");
+    }
     // Worker-level routing: a worker refuses tenants it does not own.
     let t = tenants()[0];
     let owner = eng.shard_of(t).expect("known tenant");

@@ -75,7 +75,7 @@ fn main() -> Result<(), QiError> {
 
     // Rebind the restored model for online scoring. Predictor::new
     // re-validates the schema against the monitoring configuration.
-    let mut predictor = Predictor::new(
+    let predictor = Predictor::new(
         restored,
         spec.window,
         spec.features,

@@ -65,7 +65,7 @@ fn main() -> Result<(), QiError> {
         epochs: 25,
         ..TrainConfig::default()
     };
-    let (dataset, mut predictor, report) = train_and_evaluate(&spec, &tcfg, 7)?;
+    let (dataset, predictor, report) = train_and_evaluate(&spec, &tcfg, 7)?;
     println!(
         "dataset: {} windows ({:?} per class)",
         dataset.data.len(),

@@ -23,7 +23,7 @@ fn main() -> Result<(), QiError> {
         epochs: 25,
         ..TrainConfig::default()
     };
-    let (_, mut predictor, report) = train_and_evaluate(&spec, &tcfg, 5)?;
+    let (_, predictor, report) = train_and_evaluate(&spec, &tcfg, 5)?;
     println!("offline F1 = {:.3}\n", report.headline_f1());
 
     // 2. A fresh run whose events we replay through the streaming path.

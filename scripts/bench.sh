@@ -4,14 +4,14 @@
 # run the fault-injection smoke sweep, the online-serving loop, the
 # simulator-core differential replay harness (including the parallel
 # shard sweep), and the anomaly-detection differential harness (all
-# replay-determinism gates), then the parallel execution bench at
+# replay-determinism gates), then the parallel dataset-sweep bench at
 # 1/2/N threads, the serving-throughput bench, the simulator-core
 # scaling bench, the closed-loop control bench, and the anomaly-scale
 # bench, leaving the JSON reports at the repository root.
 #
 # Usage:
-#   scripts/bench.sh            # full run (5 samples per point, 512^3 matmul)
-#   scripts/bench.sh --smoke    # quick run (2 samples, 192^3 matmul)
+#   scripts/bench.sh            # full run (5 samples per point)
+#   scripts/bench.sh --smoke    # quick run (2 samples per point)
 #
 # Environment:
 #   QI_BENCH_THREADS=1,2,8   thread counts to sweep (parallel bench)

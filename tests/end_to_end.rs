@@ -205,7 +205,7 @@ fn predictor_round_trips_through_blocks() {
         epochs: 10,
         ..TrainConfig::default()
     };
-    let (gen, mut predictor, _) = train_and_evaluate(&spec, &tcfg, 3).expect("pipeline trains");
+    let (gen, predictor, _) = train_and_evaluate(&spec, &tcfg, 3).expect("pipeline trains");
     // predict_block on a dataset row must equal the batch prediction.
     let sample = gen.data.sample_rows(0);
     let flat: Vec<f32> = sample.data().to_vec();
